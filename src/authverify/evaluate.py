@@ -20,15 +20,19 @@ from .embeddings import EmbeddingTable
 from .encoder import EncoderParams
 from .encoder import encode_document as embed_document
 from .lstm import LstmParams
+from .numeric import ShapeError
 from .preprocess import VerificationInstance, encode_document
 from .siamese import PairScore, Thresholds, decide, distance
 from .train import (
+    ConfusionCounts,
     EncodedPair,
     FitResult,
     TrainConfig,
+    counts_at_threshold,
     encode_instance,
     fit,
     make_cv_splits,
+    pair_distances,
 )
 
 __all__ = [
@@ -49,24 +53,6 @@ __all__ = [
 ]
 
 METRIC_NAMES = ("precision", "recall", "f1", "accuracy")
-
-
-@dataclass(frozen=True)
-class ConfusionCounts:
-    """Binary confusion counts; positive class is same_author."""
-
-    tp: int = 0
-    fp: int = 0
-    tn: int = 0
-    fn: int = 0
-
-    def __post_init__(self) -> None:
-        if min(self.tp, self.fp, self.tn, self.fn) < 0:
-            raise ValueError("confusion counts must be non-negative")
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
 
 
 @dataclass(frozen=True)
@@ -134,7 +120,8 @@ def save_checkpoint(path: str, params: EncoderParams, config: TrainConfig) -> No
 
 
 def load_checkpoint(path: str) -> tuple[EncoderParams, TrainConfig]:
-    """Inverse of save_checkpoint; round-trips values exactly."""
+    """Inverse of save_checkpoint; round-trips values exactly.  Raises
+    ShapeError when the arrays do not have the stored config's dims."""
     with np.load(path, allow_pickle=False) as archive:
         config = TrainConfig.from_dict(json.loads(str(archive["config_json"])))
         params = EncoderParams(
@@ -145,39 +132,10 @@ def load_checkpoint(path: str) -> tuple[EncoderParams, TrainConfig]:
                 w=archive["level2_w"], u=archive["level2_u"], b=archive["level2_b"]
             ),
         )
+    dims = (params.d_w, params.d_s, params.d_d)
+    if dims != (config.d_w, config.d_s, config.d_d):
+        raise ShapeError(f"checkpoint {path!r}: arrays of dims {dims}, config {config}")
     return params, config
-
-
-def pair_distances(
-    params: EncoderParams, pairs: list[EncodedPair]
-) -> tuple[list[float], list[int]]:
-    """Embedding distance and label for every pair, in order."""
-    distances: list[float] = []
-    labels: list[int] = []
-    for pair in pairs:
-        x1 = embed_document(params, pair.known)
-        x2 = embed_document(params, pair.unknown)
-        distances.append(distance(x1, x2))
-        labels.append(pair.label)
-    return distances, labels
-
-
-def counts_at_threshold(
-    distances: list[float], labels: list[int], tau: float
-) -> ConfusionCounts:
-    """Confusion counts with same_author called strictly below tau."""
-    tp = fp = tn = fn = 0
-    for d, label in zip(distances, labels):
-        same = d < tau
-        if same and label == 1:
-            tp += 1
-        elif same and label == 0:
-            fp += 1
-        elif not same and label == 1:
-            fn += 1
-        else:
-            tn += 1
-    return ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
 
 
 def calibrate_tau(distances: list[float], labels: list[int]) -> float:

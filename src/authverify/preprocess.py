@@ -44,6 +44,7 @@ __all__ = [
     "tokenize",
     "concatenate_known",
     "encode_document",
+    "join_encoded",
     "load_corpus",
     "save_corpus",
 ]
@@ -238,14 +239,14 @@ class EncodedDocument:
 
     words: (max_sentences, max_words, dim) tensor, zero in every padded
     position.  sent_lengths holds the true token count of each real
-    sentence; num_sentences is the true sentence count.
+    sentence and sent_oov its out-of-vocabulary count (zeros if not
+    given); num_sentences is the true sentence count.
     """
 
     words: np.ndarray
     sent_lengths: np.ndarray
     num_sentences: int
-    token_count: int = 0
-    oov_count: int = 0
+    sent_oov: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.words.ndim != 3:
@@ -263,6 +264,16 @@ class EncodedDocument:
             self.sent_lengths > self.words.shape[1]
         ):
             raise ValueError("per-sentence lengths must lie in [1, max_words]")
+        if self.sent_oov is None:
+            self.sent_oov = np.zeros(self.num_sentences, dtype=np.int64)
+
+    @property
+    def token_count(self) -> int:
+        return int(self.sent_lengths.sum())
+
+    @property
+    def oov_count(self) -> int:
+        return int(self.sent_oov.sum())
 
     @property
     def max_sentences(self) -> int:
@@ -299,21 +310,34 @@ def encode_document(
     sentences = sentences[:max_sentences]
     words = np.zeros((max_sentences, max_words, table.dim), dtype=dtype)
     lengths = np.zeros(len(sentences), dtype=np.int64)
-    token_count = 0
-    oov_before = table.oov_count
+    oov = np.zeros(len(sentences), dtype=np.int64)
     for k, sentence in enumerate(sentences):
         tokens = tokenize(sentence)[:max_words]
         lengths[k] = len(tokens)
-        token_count += len(tokens)
+        oov[k] = sum(token not in table for token in tokens)
         for t, token in enumerate(tokens):
             words[k, t] = table.lookup(token)
-    return EncodedDocument(
-        words=words,
-        sent_lengths=lengths,
-        num_sentences=len(sentences),
-        token_count=token_count,
-        oov_count=table.oov_count - oov_before,
-    )
+    return EncodedDocument(words, lengths, len(sentences), oov)
+
+
+def join_encoded(parts: list[EncodedDocument | None]) -> EncodedDocument:
+    """`encode_document` of texts joined by newlines, from each text's
+    `encode_document` at the same caps (None if it segments to nothing):
+    their real sentence rows in order, cut to `max_sentences` and
+    zero-padded; a lone part is returned itself.  Exact because a newline
+    is a hard sentence boundary that no normalization pattern crosses."""
+    parts = [p for p in parts if p is not None]
+    if not parts:
+        raise EmptyDocumentError("empty document")
+    if len(parts) == 1:
+        return parts[0]
+    cap, shape = parts[0].max_sentences, parts[0].words.shape
+    rows = np.concatenate([p.words[: p.num_sentences] for p in parts])[:cap]
+    words = np.zeros(shape, dtype=rows.dtype)  # lazily zeroed, unlike zeros_like
+    words[: len(rows)] = rows
+    lengths = np.concatenate([p.sent_lengths for p in parts])[:cap]
+    oov = np.concatenate([p.sent_oov for p in parts])[:cap]
+    return EncodedDocument(words, lengths, len(rows), oov)
 
 
 def load_corpus(path: str) -> list[VerificationInstance]:

@@ -23,6 +23,7 @@ __all__ = [
     "PairScore",
     "distance",
     "contrastive_loss",
+    "loss_at_distance",
     "contrastive_loss_grad",
     "in_batch_negative_loss",
     "decide",
@@ -88,8 +89,12 @@ def contrastive_loss(
     x1: np.ndarray, x2: np.ndarray, label: int, thresholds: Thresholds
 ) -> float:
     """(l/2) max(d - tau1, 0)^2 + ((1-l)/2) max(tau2 - d, 0)^2."""
+    return loss_at_distance(distance(x1, x2), label, thresholds)
+
+
+def loss_at_distance(d: float, label: int, thresholds: Thresholds) -> float:
+    """The contrastive loss of a pair whose embeddings lie `d` apart."""
     _check_label(label)
-    d = distance(x1, x2)
     if label == 1:
         gap = max(d - thresholds.tau1, 0.0)
     else:

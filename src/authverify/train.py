@@ -31,10 +31,11 @@ from .encoder import (
 from .encoder import encode_document as embed_document
 from .numeric import ShapeError, clip_by_global_norm, make_rng
 from .preprocess import (
+    EmptyDocumentError,
     EncodedDocument,
     VerificationInstance,
-    concatenate_known,
     encode_document,
+    join_encoded,
 )
 from .siamese import (
     Thresholds,
@@ -42,6 +43,7 @@ from .siamese import (
     contrastive_loss_grad,
     distance,
     in_batch_negative_loss,
+    loss_at_distance,
 )
 
 __all__ = [
@@ -314,28 +316,14 @@ def train_step(
     return mean_loss, grad_norm, new_state
 
 
-def augment_epoch(
-    instances: list[VerificationInstance], rng: np.random.Generator
-) -> list[VerificationInstance]:
-    """Redraw each instance's known-document order uniformly.
-
-    Single-known-document instances are passed through unchanged; labels
-    and unknown documents are never touched.
-    """
-    out: list[VerificationInstance] = []
-    for inst in instances:
-        if len(inst.known_docs) == 1:
-            out.append(inst)
-            continue
-        order = rng.permutation(len(inst.known_docs))
-        out.append(
-            VerificationInstance(
-                known_docs=[inst.known_docs[k] for k in order],
-                unknown_doc=inst.unknown_doc,
-                label=inst.label,
-            )
-        )
-    return out
+def augment_epoch(known: list[list], rng: np.random.Generator) -> list[list]:
+    """Redraw the order of each instance's known documents (one list per
+    instance, of texts or encodings) uniformly; a one-item list is passed
+    through unchanged and draws nothing."""
+    return [
+        items if len(items) == 1 else [items[k] for k in rng.permutation(len(items))]
+        for items in known
+    ]
 
 
 @dataclass(frozen=True)
@@ -388,21 +376,78 @@ def make_cv_splits(
     return splits
 
 
+def _encode(text: str, table: EmbeddingTable, config: TrainConfig) -> EncodedDocument:
+    return encode_document(
+        text, table, config.max_words, config.max_sentences, dtype=config.numpy_dtype
+    )
+
+
+def _encode_known(
+    text: str, table: EmbeddingTable, config: TrainConfig
+) -> EncodedDocument | None:
+    """One known text's encoding; None when it segments to nothing, since
+    it then adds no sentence to the known side."""
+    try:
+        return _encode(text, table, config)
+    except EmptyDocumentError:
+        return None
+
+
 def encode_instance(
     inst: VerificationInstance, table: EmbeddingTable, config: TrainConfig
 ) -> EncodedPair:
-    """Concatenate the known documents in their current order and encode
-    both sides of the pair."""
-    known_text = concatenate_known(inst, list(range(len(inst.known_docs))))
-    known = encode_document(
-        known_text, table, config.max_words, config.max_sentences,
-        dtype=config.numpy_dtype,
-    )
-    unknown = encode_document(
-        inst.unknown_doc, table, config.max_words, config.max_sentences,
-        dtype=config.numpy_dtype,
-    )
-    return EncodedPair(known, unknown, inst.label)
+    """Encode both sides of the pair; the known side joins the known
+    documents' encodings in their current order."""
+    known = [_encode_known(text, table, config) for text in inst.known_docs]
+    unknown = _encode(inst.unknown_doc, table, config)
+    return EncodedPair(join_encoded(known), unknown, inst.label)
+
+
+def pair_distances(
+    params: EncoderParams, pairs: list[EncodedPair]
+) -> tuple[list[float], list[int]]:
+    """Embedding distance and label for every pair, in order."""
+    distances = [
+        distance(embed_document(params, p.known), embed_document(params, p.unknown))
+        for p in pairs
+    ]
+    return distances, [p.label for p in pairs]
+
+
+@dataclass(frozen=True)
+class ConfusionCounts:
+    """Binary confusion counts; positive class is same_author."""
+
+    tp: int = 0
+    fp: int = 0
+    tn: int = 0
+    fn: int = 0
+
+    def __post_init__(self) -> None:
+        if min(self.tp, self.fp, self.tn, self.fn) < 0:
+            raise ValueError("confusion counts must be non-negative")
+
+    @property
+    def total(self) -> int:
+        return self.tp + self.fp + self.tn + self.fn
+
+
+def counts_at_threshold(
+    distances: list[float], labels: list[int], tau: float
+) -> ConfusionCounts:
+    """Confusion counts with same_author called strictly below tau."""
+    tp = fp = tn = fn = 0
+    for d, label in zip(distances, labels):
+        same = d < tau
+        if same and label == 1:
+            tp += 1
+        elif same and label == 0:
+            fp += 1
+        elif not same and label == 1:
+            fn += 1
+        else:
+            tn += 1
+    return ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
 
 
 @dataclass
@@ -421,18 +466,14 @@ def _dev_metrics(
     dev_pairs: list[EncodedPair],
     thresholds: Thresholds,
 ) -> tuple[float, float]:
-    """Mean contrastive loss and accuracy at the midpoint threshold."""
-    tau = thresholds.midpoint
+    """Mean contrastive loss and accuracy at the midpoint threshold, from
+    the distances and tie rule that `evaluate.evaluate_pairs` uses."""
+    distances, labels = pair_distances(params, dev_pairs)
     loss_sum = 0.0
-    correct = 0
-    for pair in dev_pairs:
-        x1 = embed_document(params, pair.known)
-        x2 = embed_document(params, pair.unknown)
-        loss_sum += contrastive_loss(x1, x2, pair.label, thresholds)
-        predicted_same = distance(x1, x2) < tau
-        if predicted_same == (pair.label == 1):
-            correct += 1
-    return loss_sum / len(dev_pairs), correct / len(dev_pairs)
+    for d, label in zip(distances, labels):
+        loss_sum += loss_at_distance(d, label, thresholds)
+    counts = counts_at_threshold(distances, labels, thresholds.midpoint)
+    return loss_sum / len(dev_pairs), (counts.tp + counts.tn) / counts.total
 
 
 def fit(
@@ -466,35 +507,12 @@ def fit(
     thresholds = config.thresholds
 
     dev_pairs = [encode_instance(inst, table, config) for inst in dev_instances]
-
-    # Unknown documents and single-known instances never change across
-    # epochs, so their encodings are cached by position.
-    known_cache: dict[int, EncodedDocument] = {}
-    unknown_cache: dict[int, EncodedDocument] = {}
-
-    def epoch_pairs(instances: list[VerificationInstance]) -> list[EncodedPair]:
-        pairs: list[EncodedPair] = []
-        for idx, inst in enumerate(instances):
-            if idx not in unknown_cache:
-                unknown_cache[idx] = encode_document(
-                    inst.unknown_doc, table, config.max_words,
-                    config.max_sentences, dtype=config.numpy_dtype,
-                )
-            if len(inst.known_docs) == 1:
-                if idx not in known_cache:
-                    known_cache[idx] = encode_document(
-                        inst.known_docs[0], table, config.max_words,
-                        config.max_sentences, dtype=config.numpy_dtype,
-                    )
-                known = known_cache[idx]
-            else:
-                text = concatenate_known(inst, list(range(len(inst.known_docs))))
-                known = encode_document(
-                    text, table, config.max_words, config.max_sentences,
-                    dtype=config.numpy_dtype,
-                )
-            pairs.append(EncodedPair(known, unknown_cache[idx], inst.label))
-        return pairs
+    # each text is encoded once; every epoch joins the known sides anew
+    known_rows = [
+        [_encode_known(t, table, config) for t in inst.known_docs]
+        for inst in train_instances
+    ]
+    unknowns = [_encode(inst.unknown_doc, table, config) for inst in train_instances]
 
     log: list[dict] = []
     best_params = params.copy()
@@ -504,10 +522,11 @@ def fit(
 
     for epoch in range(1, config.max_epochs + 1):
         started = time.perf_counter()
-        instances = (
-            augment_epoch(train_instances, rng) if config.augment else train_instances
-        )
-        pairs = epoch_pairs(instances)
+        known = augment_epoch(known_rows, rng) if config.augment else known_rows
+        pairs = [
+            EncodedPair(join_encoded(k), u, inst.label)
+            for k, u, inst in zip(known, unknowns, train_instances)
+        ]
         order = rng.permutation(len(pairs))
         loss_sum = 0.0
         norm_sum = 0.0

@@ -19,7 +19,7 @@ from authverify.evaluate import (
     save_checkpoint,
     verify_pair,
 )
-from authverify.numeric import make_rng
+from authverify.numeric import ShapeError, make_rng
 from authverify.preprocess import VerificationInstance
 from authverify.siamese import SAME_AUTHOR, Thresholds
 from authverify.train import EncodedPair, TrainConfig
@@ -76,6 +76,15 @@ class TestCheckpoint:
         save_checkpoint(str(path), params, config)
         _, loaded = load_checkpoint(str(path))
         assert loaded.thresholds == Thresholds(0.25, 7.5)
+
+    def test_dims_other_than_config_rejected_on_load(self, tmp_path):
+        params = init_encoder_params(4, 3, 2, rng=make_rng(0))
+        path = tmp_path / "model.npz"
+        for dims in ((5, 3, 2), (4, 2, 2), (4, 3, 1)):
+            config = tiny_config(d_w=dims[0], d_s=dims[1], d_d=dims[2])
+            save_checkpoint(str(path), params, config)
+            with pytest.raises(ShapeError, match=r"\(4, 3, 2\)"):
+                load_checkpoint(str(path))
 
 
 class TestEvaluatePairs:

@@ -1,8 +1,12 @@
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from authverify.embeddings import EmbeddingTable
 from authverify.preprocess import (
     CorpusFormatError,
     EmptyDocumentError,
@@ -10,6 +14,7 @@ from authverify.preprocess import (
     VerificationInstance,
     concatenate_known,
     encode_document,
+    join_encoded,
     load_corpus,
     normalize_text,
     save_corpus,
@@ -210,6 +215,87 @@ class TestEncodeDocument:
         enc = encode_document("The zebra sat.", tiny_table, 10, 10)
         assert enc.oov_count == 1
         assert enc.token_count == 4
+
+
+class TestEncodeDocumentThreads:
+    def test_oov_counts_per_document_across_threads(self, tiny_table):
+        oov, known = "The zebra sat.", "The cat, the yak and the mat."
+        docs = [" ".join([oov] * k + [known] * (5 - k)) for k in range(6)]
+        expected = [encode_document(d, tiny_table, 33, 123).oov_count for d in docs]
+        assert len(set(expected)) == 6
+
+        def encode_all():
+            return [
+                [encode_document(d, tiny_table, 33, 123).oov_count for d in docs]
+                for _ in range(40)
+            ]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(encode_all) for _ in range(4)]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for rounds in results:
+            assert rounds == [expected] * 40
+
+
+# Criterion 9's fuzz vocabulary (tests/test_acceptance.py) plus pieces of
+# URLs and phone numbers that would join into one across a boundary.
+FUZZ_PARTS = [
+    "http://example.com/a/b?c=1", "https://x.y.z/path#frag", "www.site.org/q",
+    "first.last@mail.com", "a+tag@sub.domain.io",
+    "555-123-4567", "+49 30 12345678", "(0171) 234-5678",
+    "alpha", "Beta", "gamma", "DELTA", "epsilon", "Zeta90", "…", "naïve",
+    "word", "кошка", "猫", "e.g.", "Dr.", "No.", "3.14", "10,000", "2021",
+    ".", "!", "?", ",", ";", ":", "—", "(", ")", '"', "'", "\n",
+    "555-123", "4567", "+49 30", "12345678", "http://example", ".com/a",
+]
+FUZZ_TEXT = st.one_of(
+    st.sampled_from(["", "   ", "\n"]),
+    st.lists(st.sampled_from(FUZZ_PARTS), min_size=1, max_size=25).map(" ".join),
+)
+
+
+def fuzz_table():
+    rng = make_rng(9)
+    vocab = ["alpha", "beta", "word", "кошка", "<url>", "<phone>", ".", ",", "("]
+    return EmbeddingTable(3, {t: rng.uniform(-1, 1, 3) for t in vocab})
+
+
+class TestJoinEncoded:
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(
+        texts=st.lists(FUZZ_TEXT, min_size=1, max_size=3),
+        max_words=st.integers(1, 6),
+        max_sentences=st.integers(1, 5),
+    )
+    def test_equals_encoding_the_newline_joined_text(
+        self, texts, max_words, max_sentences
+    ):
+        table = fuzz_table()
+
+        def encode(text):
+            try:
+                return encode_document(text, table, max_words, max_sentences)
+            except EmptyDocumentError:
+                return None
+
+        parts = [encode(t) for t in texts]
+        expected = encode("\n".join(texts))
+        if expected is None:
+            with pytest.raises(EmptyDocumentError):
+                join_encoded(parts)
+            return
+        joined = join_encoded(parts)
+        assert joined.words.shape == expected.words.shape
+        assert joined.words.tobytes() == expected.words.tobytes()
+        assert joined.sent_lengths.tobytes() == expected.sent_lengths.tobytes()
+        assert joined.num_sentences == expected.num_sentences
+        assert joined.token_count == expected.token_count
+        assert joined.oov_count == expected.oov_count
 
 
 class TestEncodedDocumentValidation:

@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+import authverify.train
 from authverify.embeddings import EmbeddingTable
 from authverify.encoder import (
     EncoderParams,
@@ -11,7 +14,8 @@ from authverify.encoder import (
 from authverify.gradcheck import compare_grads, numeric_gradient
 from authverify.lstm import LstmParams
 from authverify.numeric import clip_by_global_norm, make_rng
-from authverify.preprocess import VerificationInstance
+from authverify.preprocess import EmptyDocumentError, VerificationInstance
+from authverify.preprocess import encode_document as encode_text
 from authverify.siamese import Thresholds
 from authverify.train import (
     AdadeltaState,
@@ -365,31 +369,55 @@ class TestTrainStep:
 
 class TestAugmentEpoch:
     def test_single_known_unchanged(self, rng):
-        instances = [synthetic_instance(make_rng(i), 1) for i in range(5)]
-        out = augment_epoch(instances, rng)
-        assert out == instances
+        known = [synthetic_instance(make_rng(i), 1).known_docs for i in range(5)]
+        state = rng.bit_generator.state
+        assert augment_epoch(known, rng) == known
+        assert rng.bit_generator.state == state  # nothing drawn
 
     def test_all_orders_observed(self):
-        inst = VerificationInstance(["a", "b", "c"], "u", 1)
         rng = make_rng(77)
         seen = {}
         for _ in range(600):
-            out = augment_epoch([inst], rng)[0]
-            seen[tuple(out.known_docs)] = seen.get(tuple(out.known_docs), 0) + 1
+            out = tuple(augment_epoch([["a", "b", "c"]], rng)[0])
+            seen[out] = seen.get(out, 0) + 1
         assert len(seen) == 6
         for count in seen.values():
             assert 65 <= count <= 135  # 100 +- 35
 
-    def test_labels_and_unknown_preserved(self, rng):
-        instances = [
-            VerificationInstance(["a", "b"], "unknown text", 0),
-            VerificationInstance(["x", "y", "z"], "other text", 1),
-        ]
-        out = augment_epoch(instances, rng)
-        for before, after in zip(instances, out):
-            assert after.label == before.label
-            assert after.unknown_doc == before.unknown_doc
-            assert sorted(after.known_docs) == sorted(before.known_docs)
+    def test_labels_and_unknown_preserved(self, monkeypatch):
+        # on fit's path: every epoch's pairs keep their instance's label and
+        # unknown side, and join the known texts in one of their orders
+        train, dev = TestFit().make_data()
+        table, config = word_table(), tiny_config(max_epochs=3, batch_size=64)
+        expected = []
+        for inst in train:
+            knowns = {
+                encode_instance(
+                    VerificationInstance(list(docs), inst.unknown_doc, inst.label),
+                    table, config,
+                ).known.words.tobytes()
+                for docs in itertools.permutations(inst.known_docs)
+            }
+            unknown = encode_instance(inst, table, config).unknown.words.tobytes()
+            expected.append((unknown, inst.label, knowns))
+        batches = []
+        step = authverify.train.train_step
+
+        def recording(params, opt_state, batch, *args):
+            batches.append(batch)
+            return step(params, opt_state, batch, *args)
+
+        monkeypatch.setattr(authverify.train, "train_step", recording)
+        fit(train, dev, table, config)
+        assert len(batches) == 3  # one batch per epoch
+        for batch in batches:
+            sides = [(p.unknown.words.tobytes(), p.label) for p in batch]
+            assert sorted(sides) == sorted((u, label) for u, label, _ in expected)
+            for (unknown, label), pair in zip(sides, batch):
+                known = pair.known.words.tobytes()
+                assert any(
+                    (u, l) == (unknown, label) and known in ks for u, l, ks in expected
+                )
 
 
 class TestMakeCvSplits:
@@ -468,6 +496,21 @@ class TestFit:
         with pytest.raises(ValueError, match="empty dev set"):
             fit(train, [], word_table(), tiny_config())
 
+    def test_each_text_encoded_once(self, monkeypatch):
+        train, dev = self.make_data()
+        assert any(len(inst.known_docs) > 1 for inst in train)
+        calls = []
+
+        def counting(text, *args, **kwargs):
+            calls.append(text)
+            return encode_text(text, *args, **kwargs)
+
+        monkeypatch.setattr(authverify.train, "encode_document", counting)
+        result = fit(train, dev, word_table(), tiny_config(max_epochs=3, patience=3))
+        assert len(result.log) == 3
+        texts = [t for x in train + dev for t in x.known_docs + [x.unknown_doc]]
+        assert sorted(calls) == sorted(texts)
+
     def test_best_params_copied_not_aliased(self):
         train, dev = self.make_data()
         result = fit(train, dev, word_table(), tiny_config(max_epochs=1, patience=0))
@@ -484,3 +527,17 @@ class TestEncodeInstance:
         assert pair.known.words.shape == (3, 3, 3)
         assert pair.unknown.words.shape == (3, 3, 3)
         assert pair.label == 1
+
+    def test_known_side_is_the_newline_joined_text(self):
+        # the empty text adds nothing; the caps cut a sentence and a word
+        inst = VerificationInstance(["W1 w2. W3.", "  ", "W4 w5 w6 w7. W8."], "W9.", 0)
+        pair = encode_instance(inst, word_table(), tiny_config())
+        joined = encode_text("\n".join(inst.known_docs), word_table(), 3, 3)
+        assert pair.known.words.tobytes() == joined.words.tobytes()
+        assert pair.known.sent_lengths.tolist() == [3, 2, 3]
+        assert joined.sent_lengths.tolist() == [3, 2, 3]
+
+    def test_all_known_texts_empty_is_an_error(self):
+        inst = VerificationInstance(["", " \n "], "W1.", 1)
+        with pytest.raises(EmptyDocumentError):
+            encode_instance(inst, word_table(), tiny_config())
