@@ -45,7 +45,6 @@ from .numeric import (
     clip_by_global_norm,
     global_norm,
     make_rng,
-    matvec,
     uniform_init,
 )
 from .preprocess import (
@@ -84,7 +83,6 @@ from .train import (
     encode_instance,
     fit,
     make_cv_splits,
-    pair_gradients,
     train_step,
 )
 

@@ -1,12 +1,14 @@
 """Command-line surface.
 
 Subcommands: `synthetic` (generate a benchmark corpus plus embeddings),
-`preprocess` (corpus to encoded cache), `train` (fit one model on an
-80/10/10 split), `verify` (compare two text files under a checkpoint),
-`cross-validate` (k-fold report), `gradcheck` (finite-difference suite).
+`train` (fit one model on an 80/10/10 split), `verify` (compare two text
+files under a checkpoint), `cross-validate` (k-fold report), `gradcheck`
+(finite-difference suite).
 
-All randomness flows from `--seed`; report output carries no timestamps,
-so two runs with the same seed write identical bytes.
+All randomness flows from `--seed`; `train` draws its split and its fit
+from two independent `SeedSequence` children of it.  Report output
+carries no timestamps, so two runs with the same seed write identical
+bytes.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ from .evaluate import (
     verify_pair,
 )
 from .gradcheck import run_suite
+from .numeric import make_rng
 from .preprocess import load_corpus
 from .synthetic import SyntheticSpec, write_synthetic
-from .train import TrainConfig, encode_instance, fit, make_cv_splits
-from .numeric import make_rng
+from .train import TrainConfig, fit, make_cv_splits
 
 __all__ = ["main", "build_parser"]
 
@@ -70,51 +72,18 @@ def _cmd_synthetic(args) -> int:
     return 0
 
 
-def _cmd_preprocess(args) -> int:
-    config = _load_config(args)
-    table = load_embeddings(args.embeddings, config.d_w)
-    instances = load_corpus(args.corpus)
-    payload: dict[str, np.ndarray] = {}
-    labels = np.zeros(len(instances), dtype=np.int64)
-    for i, inst in enumerate(instances):
-        pair = encode_instance(inst, table, config)
-        labels[i] = pair.label
-        for side, doc in (("known", pair.known), ("unknown", pair.unknown)):
-            payload[f"{i}_{side}_words"] = doc.words[: doc.num_sentences]
-            payload[f"{i}_{side}_lengths"] = doc.sent_lengths
-    payload["labels"] = labels
-    payload["meta_json"] = np.array(
-        json.dumps(
-            {
-                "num_instances": len(instances),
-                "max_words": config.max_words,
-                "max_sentences": config.max_sentences,
-                "dim": config.d_w,
-                "oov_rate": table.oov_rate,
-            },
-            sort_keys=True,
-        )
-    )
-    with open(args.out, "wb") as fh:
-        np.savez(fh, **payload)
-    print(
-        f"encoded {len(instances)} instances to {args.out} "
-        f"(oov rate {table.oov_rate:.4f})"
-    )
-    return 0
-
-
 def _cmd_train(args) -> int:
     config = _load_config(args)
     table = load_embeddings(args.embeddings, config.d_w)
     instances = load_corpus(args.corpus)
-    split_rng = make_rng(config.seed)
-    split = make_cv_splits(len(instances), k=10, rng=split_rng)[0]
+    split_seed, fit_seed = np.random.SeedSequence(config.seed).spawn(2)
+    split = make_cv_splits(len(instances), k=10, rng=make_rng(split_seed))[0]
     result = fit(
         [instances[i] for i in split.train_ids],
         [instances[i] for i in split.dev_ids],
         table,
         config,
+        rng=make_rng(fit_seed),
     )
     save_checkpoint(args.checkpoint, result.params, config)
     log_text = "\n".join(json.dumps(entry) for entry in result.log)
@@ -188,13 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--authors", type=int, default=40)
     add_common(p, config=False)
     p.set_defaults(func=_cmd_synthetic)
-
-    p = sub.add_parser("preprocess", help="encode a corpus into an npz cache")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--embeddings", required=True)
-    p.add_argument("--out", required=True, help="output .npz path")
-    add_common(p)
-    p.set_defaults(func=_cmd_preprocess)
 
     p = sub.add_parser("train", help="train one model on an 80/10/10 split")
     p.add_argument("--corpus", required=True)

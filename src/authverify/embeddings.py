@@ -4,7 +4,8 @@ Reads the plain-text format: UTF-8, one entry per line, a token followed
 by its vector components, single-space separated.  Lookup tries the exact
 token first, then its lowercase form; anything else is out of vocabulary
 and resolves to the OOV vector (all zeros by default, which is inert
-under matrix-vector products).
+under matrix-vector products).  The table keeps no usage state: OOV
+counts are kept per document, on `preprocess.EncodedDocument`.
 """
 
 from __future__ import annotations
@@ -19,12 +20,10 @@ class EmbeddingFormatError(ValueError):
 
 
 class EmbeddingTable:
-    """Token -> vector map with an explicit OOV policy and usage counters.
+    """Token -> vector map with an explicit OOV policy.
 
-    The table is read-only after construction apart from the counters;
-    `lookup_count` and `oov_count` are exact after any sequence of
-    lookups from a single thread (aggregate externally when sharding a
-    corpus pass across workers).
+    The table is read-only after construction, so any number of threads
+    may look tokens up in it at once.
     """
 
     def __init__(
@@ -51,8 +50,6 @@ class EmbeddingTable:
                 f"oov_vector shape {self.oov_vector.shape} must be ({dim},)"
             )
         self.duplicate_count = duplicate_count
-        self.lookup_count = 0
-        self.oov_count = 0
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -62,25 +59,10 @@ class EmbeddingTable:
 
     def lookup(self, token: str) -> np.ndarray:
         """Vector for `token`: exact match, then lowercase, then OOV."""
-        self.lookup_count += 1
         vec = self.vectors.get(token)
         if vec is None:
-            vec = self.vectors.get(token.lower())
-        if vec is None:
-            self.oov_count += 1
-            return self.oov_vector
+            vec = self.vectors.get(token.lower(), self.oov_vector)
         return vec
-
-    @property
-    def oov_rate(self) -> float:
-        """Fraction of lookups so far that were out of vocabulary."""
-        if self.lookup_count == 0:
-            return 0.0
-        return self.oov_count / self.lookup_count
-
-    def reset_counters(self) -> None:
-        self.lookup_count = 0
-        self.oov_count = 0
 
 
 def load_embeddings(path: str, expected_dim: int) -> EmbeddingTable:

@@ -81,11 +81,8 @@ class EncoderParams:
         return EncoderParams(self.level1.copy(), self.level2.copy())
 
     @classmethod
-    def zeros(cls, d_w: int, d_s: int, d_d: int, dtype=np.float64) -> "EncoderParams":
-        return cls(
-            level1=LstmParams.zeros(d_w, d_s, dtype=dtype),
-            level2=LstmParams.zeros(d_s, d_d, dtype=dtype),
-        )
+    def zeros(cls, d_w: int, d_s: int, d_d: int) -> "EncoderParams":
+        return cls(level1=LstmParams.zeros(d_w, d_s), level2=LstmParams.zeros(d_s, d_d))
 
     def add_(self, other: "EncoderParams") -> None:
         """In-place element-wise accumulation (gradient summing)."""
@@ -104,7 +101,6 @@ def init_encoder_params(
     lo: float = -0.05,
     hi: float = 0.05,
     rng: np.random.Generator | None = None,
-    dtype=np.float64,
 ) -> EncoderParams:
     """Uniform [lo, hi) initialization of every matrix and bias.
 
@@ -114,8 +110,8 @@ def init_encoder_params(
     if rng is None:
         raise ValueError("init_encoder_params requires an explicit rng")
     return EncoderParams(
-        level1=LstmParams.init_uniform(d_w, d_s, lo, hi, rng, dtype),
-        level2=LstmParams.init_uniform(d_s, d_d, lo, hi, rng, dtype),
+        level1=LstmParams.init_uniform(d_w, d_s, lo, hi, rng),
+        level2=LstmParams.init_uniform(d_s, d_d, lo, hi, rng),
     )
 
 
@@ -138,7 +134,6 @@ def sample_dropout_masks(
     dims: tuple[int, int, int],
     rate: float,
     rng: np.random.Generator,
-    dtype=np.float64,
 ) -> DropoutMasks:
     """Bernoulli(1-rate) masks scaled by 1/(1-rate) for dims (d_w, d_s, d_d).
 
@@ -151,7 +146,7 @@ def sample_dropout_masks(
     keep = 1.0 - rate
 
     def draw(dim: int) -> np.ndarray:
-        return (rng.random(dim) >= rate).astype(dtype) / keep
+        return (rng.random(dim) >= rate).astype(np.float64) / keep
 
     return DropoutMasks(
         input1=draw(d_w),

@@ -290,11 +290,8 @@ def _run_fold(
         test_distances, test_labels, config.thresholds.midpoint
     )
 
-    dev_pairs = [
-        encode_instance(instances[i], table, config) for i in split.dev_ids
-    ]
-    dev_distances, dev_labels = pair_distances(result.params, dev_pairs)
-    tau = calibrate_tau(dev_distances, dev_labels)
+    dev_labels = [instances[i].label for i in split.dev_ids]
+    tau = calibrate_tau(result.dev_distances, dev_labels)
     counts_cal = counts_at_threshold(test_distances, test_labels, tau)
 
     return FoldResult(
@@ -356,14 +353,9 @@ def cross_validate(
 def verify_pair(model: Model, doc_a: str, doc_b: str) -> PairScore:
     """Full inference pipeline on two raw texts: normalize, segment,
     tokenize, encode, measure, decide.  Deterministic for a fixed model."""
-    enc_a = encode_document(
-        doc_a, model.table, model.config.max_words, model.config.max_sentences,
-        dtype=model.config.numpy_dtype,
-    )
-    enc_b = encode_document(
-        doc_b, model.table, model.config.max_words, model.config.max_sentences,
-        dtype=model.config.numpy_dtype,
-    )
+    caps = (model.config.max_words, model.config.max_sentences)
+    enc_a = encode_document(doc_a, model.table, *caps)
+    enc_b = encode_document(doc_b, model.table, *caps)
     x_a = embed_document(model.params, enc_a)
     x_b = embed_document(model.params, enc_b)
     return decide(distance(x_a, x_b), model.thresholds)

@@ -145,11 +145,11 @@ class LstmParams:
         return self._block(self.b, "c")
 
     @classmethod
-    def zeros(cls, d_in: int, d_out: int, dtype=np.float64) -> "LstmParams":
+    def zeros(cls, d_in: int, d_out: int) -> "LstmParams":
         return cls(
-            w=np.zeros((4 * d_out, d_out), dtype=dtype),
-            u=np.zeros((4 * d_out, d_in), dtype=dtype),
-            b=np.zeros(4 * d_out, dtype=dtype),
+            w=np.zeros((4 * d_out, d_out)),
+            u=np.zeros((4 * d_out, d_in)),
+            b=np.zeros(4 * d_out),
         )
 
     @classmethod
@@ -160,13 +160,12 @@ class LstmParams:
         lo: float,
         hi: float,
         rng: np.random.Generator,
-        dtype=np.float64,
     ) -> "LstmParams":
         """All entries drawn uniformly from [lo, hi); draw order w, u, b."""
         return cls(
-            w=uniform_init(4 * d_out, d_out, lo, hi, rng, dtype),
-            u=uniform_init(4 * d_out, d_in, lo, hi, rng, dtype),
-            b=uniform_init_vector(4 * d_out, lo, hi, rng, dtype),
+            w=uniform_init(4 * d_out, d_out, lo, hi, rng),
+            u=uniform_init(4 * d_out, d_in, lo, hi, rng),
+            b=uniform_init_vector(4 * d_out, lo, hi, rng),
         )
 
     def arrays(self) -> dict[str, np.ndarray]:

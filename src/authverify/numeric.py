@@ -1,10 +1,10 @@
-"""Dense linear-algebra substrate: seeded randomness, matrix-vector products,
-uniform initialization, and global-norm gradient clipping.
+"""Dense linear-algebra substrate: seeded randomness, uniform
+initialization, and global-norm gradient clipping.
 
 Matrices are 2-D C-contiguous (row-major) numpy arrays, vectors are 1-D
-arrays.  float64 is the default precision everywhere; float32 may be
-requested for training speed, but gradient checking requires float64.
-Shapes must match exactly: none of the public operations broadcast.
+arrays, and every array is float64, the precision gradient checking
+needs.  Shapes must match exactly: none of the public operations
+broadcast.
 
 Randomness comes from numpy's PCG64 generator, whose stream is fixed by
 numpy's stability policy, so a given seed reproduces the same draws on
@@ -24,7 +24,6 @@ __all__ = [
     "ShapeError",
     "NonFiniteError",
     "make_rng",
-    "matvec",
     "uniform_init",
     "uniform_init_vector",
     "global_norm",
@@ -40,26 +39,14 @@ class NonFiniteError(FloatingPointError):
     """A value that must be finite is NaN or infinite."""
 
 
-def make_rng(seed: int) -> np.random.Generator:
-    """Return a PCG64 generator seeded with `seed`.
+def make_rng(seed: int | np.random.SeedSequence) -> np.random.Generator:
+    """Return a PCG64 generator seeded with `seed`, an integer or a
+    `SeedSequence` child.
 
     The same seed always yields the same draw sequence; every random
     choice in this package flows from generators built here.
     """
     return np.random.Generator(np.random.PCG64(seed))
-
-
-def matvec(w: Matrix, x: Vector) -> Vector:
-    """Product w @ x with exact shape checking, result_i = sum_j w_ij x_j."""
-    if w.ndim != 2:
-        raise ShapeError(f"matvec expects a 2-D matrix, got shape {w.shape}")
-    if x.ndim != 1:
-        raise ShapeError(f"matvec expects a 1-D vector, got shape {x.shape}")
-    if w.shape[1] != x.shape[0]:
-        raise ShapeError(
-            f"matvec shape mismatch: matrix {w.shape} against vector {x.shape}"
-        )
-    return w @ x
 
 
 def uniform_init(
@@ -68,12 +55,11 @@ def uniform_init(
     lo: float,
     hi: float,
     rng: np.random.Generator,
-    dtype=np.float64,
 ) -> Matrix:
     """rows x cols matrix with entries drawn uniformly from [lo, hi)."""
     if lo >= hi:
         raise ValueError(f"uniform_init requires lo < hi, got [{lo}, {hi})")
-    return rng.uniform(lo, hi, size=(rows, cols)).astype(dtype, copy=False)
+    return rng.uniform(lo, hi, size=(rows, cols))
 
 
 def uniform_init_vector(
@@ -81,12 +67,11 @@ def uniform_init_vector(
     lo: float,
     hi: float,
     rng: np.random.Generator,
-    dtype=np.float64,
 ) -> Vector:
     """dim-dimensional vector with entries drawn uniformly from [lo, hi)."""
     if lo >= hi:
         raise ValueError(f"uniform_init_vector requires lo < hi, got [{lo}, {hi})")
-    return rng.uniform(lo, hi, size=dim).astype(dtype, copy=False)
+    return rng.uniform(lo, hi, size=dim)
 
 
 def global_norm(arrays: list[np.ndarray]) -> float:

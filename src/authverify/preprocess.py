@@ -293,7 +293,6 @@ def encode_document(
     table: EmbeddingTable,
     max_words: int,
     max_sentences: int,
-    dtype=np.float64,
 ) -> EncodedDocument:
     """Normalize, segment, tokenize, and resolve a document to its padded
     tensor of word vectors.
@@ -308,7 +307,7 @@ def encode_document(
     if not sentences:
         raise EmptyDocumentError("empty document")
     sentences = sentences[:max_sentences]
-    words = np.zeros((max_sentences, max_words, table.dim), dtype=dtype)
+    words = np.zeros((max_sentences, max_words, table.dim))
     lengths = np.zeros(len(sentences), dtype=np.int64)
     oov = np.zeros(len(sentences), dtype=np.int64)
     for k, sentence in enumerate(sentences):

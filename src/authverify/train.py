@@ -53,7 +53,6 @@ __all__ = [
     "EncodedPair",
     "FitResult",
     "adadelta_update",
-    "pair_gradients",
     "batch_gradients",
     "train_step",
     "augment_epoch",
@@ -95,7 +94,6 @@ class TrainConfig:
     init_lo: float = -0.05
     init_hi: float = 0.05
     augment: bool = True
-    dtype: str = "float64"
     in_batch_weight: float = 8.0
 
     def __post_init__(self) -> None:
@@ -113,22 +111,23 @@ class TrainConfig:
             raise ValueError("tau1 < tau2 required")
         if not self.in_batch_weight >= 0.0:
             raise ValueError("in_batch_weight must be >= 0")
-        if self.dtype not in ("float64", "float32"):
-            raise ValueError(f"dtype must be float64 or float32, got {self.dtype}")
 
     @property
     def thresholds(self) -> Thresholds:
         return Thresholds(self.tau1, self.tau2)
-
-    @property
-    def numpy_dtype(self):
-        return np.float64 if self.dtype == "float64" else np.float32
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
+        """Config from `to_dict` output.  Files written while configs had a
+        `dtype` field carry `"dtype": "float64"`, which is dropped; any
+        other dtype cannot be honoured, since every array is float64."""
+        d = dict(d)
+        dtype = d.pop("dtype", "float64")
+        if dtype != "float64":
+            raise ValueError(f"dtype {dtype!r} cannot be honoured: arrays are float64")
         known = {f.name for f in fields(cls)}
         unknown = set(d) - known
         if unknown:
@@ -201,27 +200,6 @@ class EncodedPair(NamedTuple):
     label: int
 
 
-def pair_gradients(
-    params: EncoderParams,
-    pair: EncodedPair,
-    thresholds: Thresholds,
-    masks_known=None,
-    masks_unknown=None,
-) -> tuple[float, EncoderParams]:
-    """Loss and shared-weight gradients for one pair.
-
-    Both branches run with the same `params`; the returned gradient
-    container is the sum of the two branch contributions.
-    """
-    x1, tape1 = encode_document_training(params, pair.known, masks_known)
-    x2, tape2 = encode_document_training(params, pair.unknown, masks_unknown)
-    loss = contrastive_loss(x1, x2, pair.label, thresholds)
-    g1, g2 = contrastive_loss_grad(x1, x2, pair.label, thresholds)
-    grads = encoder_backward(params, tape1, g1)
-    grads.add_(encoder_backward(params, tape2, g2))
-    return loss, grads
-
-
 def batch_gradients(
     params: EncoderParams,
     batch: list[EncodedPair],
@@ -236,17 +214,17 @@ def batch_gradients(
     are drawn for each document, known before unknown, pair by pair.
     Each document's upstream gradient sums its pair term and its in-batch
     term, so each document gets one backward pass.  With weight 0 this is
-    `pair_gradients` summed over the batch, then divided by its size.
+    the mean over the batch of each pair's contrastive loss and of the sum
+    of its two branch gradients.
     """
     if not batch:
         raise ValueError("batch_gradients requires a non-empty batch")
     dims = (config.d_w, config.d_s, config.d_d)
-    dtype = config.numpy_dtype
     thresholds = config.thresholds
     n = len(batch)
     docs = [doc for pair in batch for doc in (pair.known, pair.unknown)]
     masks = [
-        sample_dropout_masks(dims, config.dropout_rate, rng, dtype)
+        sample_dropout_masks(dims, config.dropout_rate, rng)
         if config.dropout_rate > 0.0 else None
         for _ in docs
     ]
@@ -265,7 +243,7 @@ def batch_gradients(
         # the summed gradient is divided by n below
         cross_grad *= n * config.in_batch_weight
 
-    total = EncoderParams.zeros(*dims, dtype=dtype)
+    total = EncoderParams.zeros(*dims)
     loss_sum = 0.0
     for k, pair in enumerate(batch):
         x1, tape1 = encode_document_training(params, docs[2 * k], masks[2 * k])
@@ -377,9 +355,7 @@ def make_cv_splits(
 
 
 def _encode(text: str, table: EmbeddingTable, config: TrainConfig) -> EncodedDocument:
-    return encode_document(
-        text, table, config.max_words, config.max_sentences, dtype=config.numpy_dtype
-    )
+    return encode_document(text, table, config.max_words, config.max_sentences)
 
 
 def _encode_known(
@@ -452,28 +428,30 @@ def counts_at_threshold(
 
 @dataclass
 class FitResult:
-    """Trained parameters plus the per-epoch training log."""
+    """Trained parameters plus the per-epoch training log.  `dev_distances`
+    are the dev pairs' distances under `params`, in dev-instance order."""
 
     params: EncoderParams
     thresholds: Thresholds
     log: list[dict] = field(repr=False)
     best_epoch: int = 0
     best_dev_accuracy: float = 0.0
+    dev_distances: list[float] = field(default_factory=list, repr=False)
 
 
 def _dev_metrics(
     params: EncoderParams,
     dev_pairs: list[EncodedPair],
     thresholds: Thresholds,
-) -> tuple[float, float]:
-    """Mean contrastive loss and accuracy at the midpoint threshold, from
-    the distances and tie rule that `evaluate.evaluate_pairs` uses."""
+) -> tuple[float, float, list[float]]:
+    """Mean contrastive loss, accuracy at the midpoint threshold, and the
+    distances both come from, with the tie rule of `evaluate.evaluate_pairs`."""
     distances, labels = pair_distances(params, dev_pairs)
     loss_sum = 0.0
     for d, label in zip(distances, labels):
         loss_sum += loss_at_distance(d, label, thresholds)
     counts = counts_at_threshold(distances, labels, thresholds.midpoint)
-    return loss_sum / len(dev_pairs), (counts.tp + counts.tn) / counts.total
+    return loss_sum / len(dev_pairs), (counts.tp + counts.tn) / counts.total, distances
 
 
 def fit(
@@ -499,9 +477,8 @@ def fit(
     if rng is None:
         rng = make_rng(config.seed)
 
-    dims = (config.d_w, config.d_s, config.d_d)
     params = init_encoder_params(
-        *dims, config.init_lo, config.init_hi, rng, dtype=config.numpy_dtype
+        config.d_w, config.d_s, config.d_d, config.init_lo, config.init_hi, rng
     )
     opt_state = AdadeltaState.zeros_like(params.arrays())
     thresholds = config.thresholds
@@ -518,6 +495,7 @@ def fit(
     best_params = params.copy()
     best_accuracy = -1.0
     best_epoch = 0
+    best_distances: list[float] = []
     epochs_since_best = 0
 
     for epoch in range(1, config.max_epochs + 1):
@@ -539,7 +517,7 @@ def fit(
             loss_sum += loss * len(batch)
             norm_sum += grad_norm
             n_batches += 1
-        dev_loss, dev_accuracy = _dev_metrics(params, dev_pairs, thresholds)
+        dev_loss, dev_accuracy, distances = _dev_metrics(params, dev_pairs, thresholds)
         log.append(
             {
                 "epoch": epoch,
@@ -554,6 +532,7 @@ def fit(
             best_accuracy = dev_accuracy
             best_params = params.copy()
             best_epoch = epoch
+            best_distances = distances
             epochs_since_best = 0
         else:
             epochs_since_best += 1
@@ -566,4 +545,5 @@ def fit(
         log=log,
         best_epoch=best_epoch,
         best_dev_accuracy=best_accuracy,
+        dev_distances=best_distances,
     )

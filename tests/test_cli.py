@@ -1,9 +1,11 @@
+import copy
 import json
 import subprocess
 import sys
 
 import pytest
 
+import authverify.cli
 from authverify.cli import main
 from authverify.preprocess import load_corpus
 from authverify.siamese import SAME_AUTHOR
@@ -49,29 +51,6 @@ class TestSynthetic:
         assert len(instances) == 60
 
 
-class TestPreprocess:
-    def test_writes_cache(self, workspace):
-        root, corpus, emb = workspace
-        out = root / "cache.npz"
-        rc = main(
-            [
-                "preprocess",
-                "--corpus", str(corpus),
-                "--embeddings", str(emb),
-                "--config", str(fast_config(root)),
-                "--out", str(out),
-            ]
-        )
-        assert rc == 0
-        import numpy as np
-
-        with np.load(out) as archive:
-            meta = json.loads(str(archive["meta_json"]))
-            assert meta["num_instances"] == 60
-            assert archive["labels"].shape == (60,)
-            assert "0_known_words" in archive
-
-
 class TestTrainVerify:
     def test_train_then_verify(self, workspace):
         root, corpus, emb = workspace
@@ -109,6 +88,37 @@ class TestTrainVerify:
         assert decision["decision"] == SAME_AUTHOR
         assert decision["distance"] == 0.0
         assert "tau" in decision
+
+
+class TestTrainSeeding:
+    def test_split_and_fit_draw_independent_streams(self, workspace, monkeypatch):
+        root, corpus, emb = workspace
+        seen = {}
+        real_splits, real_fit = authverify.cli.make_cv_splits, authverify.cli.fit
+
+        def splits(n, k, rng):
+            seen["split"] = copy.deepcopy(rng)
+            return real_splits(n, k=k, rng=rng)
+
+        def fit(*args, rng=None):
+            seen["fit"] = copy.deepcopy(rng)
+            return real_fit(*args, rng=rng)
+
+        monkeypatch.setattr(authverify.cli, "make_cv_splits", splits)
+        monkeypatch.setattr(authverify.cli, "fit", fit)
+        rc = main(
+            [
+                "train",
+                "--corpus", str(corpus),
+                "--embeddings", str(emb),
+                "--config", str(fast_config(root)),
+                "--checkpoint", str(root / "seeded.npz"),
+                "--out", str(root / "seeded.jsonl"),
+            ]
+        )
+        assert rc == 0
+        assert seen["fit"] is not None
+        assert seen["split"].random() != seen["fit"].random()
 
 
 class TestGradcheckCommand:

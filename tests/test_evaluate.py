@@ -1,8 +1,10 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import authverify.train
 from authverify.embeddings import EmbeddingTable
 from authverify.encoder import init_encoder_params
 from authverify.evaluate import (
@@ -21,6 +23,7 @@ from authverify.evaluate import (
 )
 from authverify.numeric import ShapeError, make_rng
 from authverify.preprocess import VerificationInstance
+from authverify.preprocess import encode_document as encode_text
 from authverify.siamese import SAME_AUTHOR, Thresholds
 from authverify.train import EncodedPair, TrainConfig
 
@@ -85,6 +88,22 @@ class TestCheckpoint:
             save_checkpoint(str(path), params, config)
             with pytest.raises(ShapeError, match=r"\(4, 3, 2\)"):
                 load_checkpoint(str(path))
+
+    def test_legacy_float64_dtype_loads(self, tmp_path):
+        # checkpoints written while TrainConfig had a dtype field
+        params = init_encoder_params(4, 3, 2, rng=make_rng(0))
+        config = tiny_config(d_w=4, d_s=3, d_d=2)
+        path = tmp_path / "model.npz"
+        save_checkpoint(str(path), params, config)
+        with np.load(path) as archive:
+            payload = dict(archive)
+        legacy = {**config.to_dict(), "dtype": "float64"}
+        payload["config_json"] = np.array(json.dumps(legacy, sort_keys=True))
+        np.savez(path, **payload)
+        loaded_params, loaded_config = load_checkpoint(str(path))
+        assert loaded_config == config
+        for key, a in params.arrays().items():
+            assert loaded_params.arrays()[key].tobytes() == a.tobytes(), key
 
 
 class TestEvaluatePairs:
@@ -213,6 +232,19 @@ class TestCrossValidate:
         a = cross_validate(small_corpus(), word_table(), quick_cv_config(), k=4)
         b = cross_validate(small_corpus(), word_table(), quick_cv_config(), k=4)
         assert a.to_json() == b.to_json()
+
+    def test_each_text_encoded_once_per_fold(self, monkeypatch):
+        corpus = small_corpus()
+        calls = []
+
+        def counting(text, *args, **kwargs):
+            calls.append(text)
+            return encode_text(text, *args, **kwargs)
+
+        monkeypatch.setattr(authverify.train, "encode_document", counting)
+        cross_validate(corpus, word_table(), quick_cv_config(), k=4)
+        texts = Counter(t for x in corpus for t in x.known_docs + [x.unknown_doc])
+        assert Counter(calls) == Counter({t: 4 * n for t, n in texts.items()})
 
     def test_threaded_matches_sequential(self):
         seq = cross_validate(small_corpus(), word_table(), quick_cv_config(), k=4)

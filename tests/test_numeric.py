@@ -3,50 +3,12 @@ import pytest
 
 from authverify.numeric import (
     NonFiniteError,
-    ShapeError,
     clip_by_global_norm,
     global_norm,
     make_rng,
-    matvec,
     uniform_init,
     uniform_init_vector,
 )
-
-
-class TestMatvec:
-    def test_identity(self):
-        x = np.array([1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(matvec(np.eye(3), x), x)
-
-    def test_zero_matrix(self):
-        out = matvec(np.zeros((2, 3)), np.array([4.0, 5.0, 6.0]))
-        np.testing.assert_array_equal(out, np.zeros(2))
-
-    def test_hand_computed(self):
-        w = np.array([[1.0, 2.0], [3.0, 4.0]])
-        out = matvec(w, np.array([1.0, 1.0]))
-        np.testing.assert_array_equal(out, np.array([3.0, 7.0]))
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2,\)"):
-            matvec(np.zeros((2, 3)), np.zeros(2))
-
-    def test_rejects_wrong_ranks(self):
-        with pytest.raises(ShapeError):
-            matvec(np.zeros(3), np.zeros(3))
-        with pytest.raises(ShapeError):
-            matvec(np.zeros((2, 2)), np.zeros((2, 2)))
-
-    def test_linearity(self):
-        rng = make_rng(42)
-        for _ in range(20):
-            w = rng.normal(size=(4, 6))
-            x = rng.normal(size=6)
-            y = rng.normal(size=6)
-            a, b = rng.normal(size=2)
-            lhs = matvec(w, a * x + b * y)
-            rhs = a * matvec(w, x) + b * matvec(w, y)
-            np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
 class TestUniformInit:

@@ -92,12 +92,15 @@ class TestWriteSynthetic:
         spec = SyntheticSpec(n_instances=20)
         write_synthetic(str(corpus_path), str(emb_path), spec, seed=0)
         table = load_embeddings(str(emb_path), spec.emb_dim)
-        for inst in load_corpus(str(corpus_path)):
-            for doc in inst.known_docs + [inst.unknown_doc]:
-                for sentence in segment_sentences(doc):
-                    for token in tokenize(sentence):
-                        table.lookup(token)
-        assert table.oov_count == 0
+        oov = [
+            token
+            for inst in load_corpus(str(corpus_path))
+            for doc in inst.known_docs + [inst.unknown_doc]
+            for sentence in segment_sentences(doc)
+            for token in tokenize(sentence)
+            if token not in table
+        ]
+        assert oov == []
 
     def test_embedding_file_round_trips_values(self, tmp_path):
         emb_path = tmp_path / "emb.txt"

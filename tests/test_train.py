@@ -8,6 +8,8 @@ from authverify.embeddings import EmbeddingTable
 from authverify.encoder import (
     EncoderParams,
     encode_document,
+    encode_document_training,
+    encoder_backward,
     init_encoder_params,
     sample_dropout_masks,
 )
@@ -16,7 +18,7 @@ from authverify.lstm import LstmParams
 from authverify.numeric import clip_by_global_norm, make_rng
 from authverify.preprocess import EmptyDocumentError, VerificationInstance
 from authverify.preprocess import encode_document as encode_text
-from authverify.siamese import Thresholds
+from authverify.siamese import Thresholds, contrastive_loss, contrastive_loss_grad
 from authverify.train import (
     AdadeltaState,
     EncodedPair,
@@ -27,7 +29,7 @@ from authverify.train import (
     encode_instance,
     fit,
     make_cv_splits,
-    pair_gradients,
+    pair_distances,
     train_step,
 )
 
@@ -36,6 +38,27 @@ from test_encoder import random_doc
 # scalar first Adadelta step at g=1, rho=0.95, eps=1e-6, lr=1:
 # -sqrt(1e-6)/sqrt(0.05 + 1e-6)
 ADADELTA_FIRST_STEP = -0.004472091234310839
+
+
+def pair_gradients(
+    params: EncoderParams,
+    pair: EncodedPair,
+    thresholds: Thresholds,
+    masks_known=None,
+    masks_unknown=None,
+) -> tuple[float, EncoderParams]:
+    """Loss and shared-weight gradients for one pair.
+
+    Both branches run with the same `params`; the returned gradient
+    container is the sum of the two branch contributions.
+    """
+    x1, tape1 = encode_document_training(params, pair.known, masks_known)
+    x2, tape2 = encode_document_training(params, pair.unknown, masks_unknown)
+    loss = contrastive_loss(x1, x2, pair.label, thresholds)
+    g1, g2 = contrastive_loss_grad(x1, x2, pair.label, thresholds)
+    grads = encoder_backward(params, tape1, g1)
+    grads.add_(encoder_backward(params, tape2, g2))
+    return loss, grads
 
 
 def tiny_config(**kw):
@@ -90,6 +113,15 @@ class TestTrainConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):
             TrainConfig.from_dict({"not_a_field": 1})
+
+    def test_legacy_float64_dtype_dropped(self):
+        c = tiny_config(tau1=0.5, tau2=2.5)
+        assert TrainConfig.from_dict({**c.to_dict(), "dtype": "float64"}) == c
+        assert "dtype" not in c.to_dict()
+
+    def test_other_dtype_rejected(self):
+        with pytest.raises(ValueError, match="float32"):
+            TrainConfig.from_dict({**tiny_config().to_dict(), "dtype": "float32"})
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -510,6 +542,12 @@ class TestFit:
         assert len(result.log) == 3
         texts = [t for x in train + dev for t in x.known_docs + [x.unknown_doc]]
         assert sorted(calls) == sorted(texts)
+
+    def test_dev_distances_are_those_of_the_best_params(self):
+        train, dev = self.make_data()
+        result = fit(train, dev, word_table(), tiny_config(max_epochs=3, patience=3))
+        pairs = [encode_instance(x, word_table(), tiny_config()) for x in dev]
+        assert result.dev_distances == pair_distances(result.params, pairs)[0]
 
     def test_best_params_copied_not_aliased(self):
         train, dev = self.make_data()
