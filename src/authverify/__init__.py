@@ -38,7 +38,6 @@ from .lstm import (
     LstmTape,
     lstm_backward,
     lstm_run_frozen,
-    lstm_step,
 )
 from .numeric import (
     ShapeError,

@@ -91,6 +91,8 @@ def load_embeddings(path: str, expected_dim: int) -> EmbeddingTable:
                 raise EmbeddingFormatError(
                     f"unparseable number at line {lineno}: {exc}"
                 ) from None
+            if not np.all(np.isfinite(vec)):
+                raise EmbeddingFormatError(f"non-finite value at line {lineno}")
             if token in vectors:
                 duplicates += 1
             vectors[token] = vec

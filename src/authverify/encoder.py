@@ -3,9 +3,11 @@
 Level 1 maps each sentence's word vectors to a sentence embedding (the
 word LSTM's final hidden state under freezing); level 2 runs over the
 sentence embeddings and its final hidden state is the document embedding.
-Both levels start from zero states.  Variational dropout masks, when
-given, multiply the input and recurrent activations at every step of a
-sequence; one level-1 mask pair is shared by all sentences of a document.
+Both levels start from zero states, and both call `lstm_run_frozen`
+directly, with the sentence's or the document's true length and its
+padded length.  Variational dropout masks, when given, multiply the input
+and recurrent activations at every step of a sequence; one level-1 mask
+pair is shared by all sentences of a document.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import numpy as np
 
 from .lstm import (
     LstmParams,
-    LstmState,
     LstmTape,
     lstm_backward,
     lstm_backward_dz,
@@ -32,7 +33,6 @@ __all__ = [
     "DocumentTape",
     "init_encoder_params",
     "sample_dropout_masks",
-    "encode_sentence",
     "encode_document",
     "encode_document_training",
     "encoder_backward",
@@ -156,33 +156,6 @@ def sample_dropout_masks(
     )
 
 
-def encode_sentence(
-    level1: LstmParams,
-    word_vectors: np.ndarray,
-    true_len: int,
-    length: int,
-    masks: DropoutMasks | None = None,
-) -> np.ndarray:
-    """Sentence embedding: level-1 final hidden state from a zero state."""
-    final, _ = _encode_sentence_cached(level1, word_vectors, true_len, length, masks)
-    return final.h
-
-
-def _encode_sentence_cached(
-    level1: LstmParams,
-    word_vectors: np.ndarray,
-    true_len: int,
-    length: int,
-    masks: DropoutMasks | None,
-) -> tuple[LstmState, LstmTape]:
-    in_mask = masks.input1 if masks is not None else None
-    rec_mask = masks.recurrent1 if masks is not None else None
-    return lstm_run_frozen(
-        level1, word_vectors, true_len, length, init=None,
-        in_mask=in_mask, rec_mask=rec_mask,
-    )
-
-
 @dataclass
 class DocumentTape:
     """Forward caches of a whole document encoding, for encoder_backward."""
@@ -190,9 +163,6 @@ class DocumentTape:
     sentence_tapes: list[LstmTape] = field(repr=False)
     sentence_embeddings: np.ndarray = field(repr=False)  # (num_sentences, d_s)
     level2_tape: LstmTape = field(repr=False)
-    d_w: int = 0
-    d_s: int = 0
-    d_d: int = 0
 
 
 def encode_document_training(
@@ -205,27 +175,22 @@ def encode_document_training(
     dtype = params.level1.w.dtype
     sent_embeddings = np.zeros((n, params.d_s), dtype=dtype)
     sent_tapes: list[LstmTape] = []
+    in_mask = masks.input1 if masks is not None else None
+    rec_mask = masks.recurrent1 if masks is not None else None
     for k in range(n):
-        final, tape = _encode_sentence_cached(
-            params.level1, doc.words[k], int(doc.sent_lengths[k]), doc.max_words, masks
+        final, tape = lstm_run_frozen(
+            params.level1, doc.words[k], int(doc.sent_lengths[k]), doc.max_words,
+            in_mask=in_mask, rec_mask=rec_mask,
         )
         sent_embeddings[k] = final.h
         sent_tapes.append(tape)
     in_mask = masks.input2 if masks is not None else None
     rec_mask = masks.recurrent2 if masks is not None else None
     final, level2_tape = lstm_run_frozen(
-        params.level2, sent_embeddings, n, doc.max_sentences, init=None,
+        params.level2, sent_embeddings, n, doc.max_sentences,
         in_mask=in_mask, rec_mask=rec_mask,
     )
-    tape_bundle = DocumentTape(
-        sentence_tapes=sent_tapes,
-        sentence_embeddings=sent_embeddings,
-        level2_tape=level2_tape,
-        d_w=params.d_w,
-        d_s=params.d_s,
-        d_d=params.d_d,
-    )
-    return final.h, tape_bundle
+    return final.h, DocumentTape(sent_tapes, sent_embeddings, level2_tape)
 
 
 def encode_document(
@@ -247,13 +212,9 @@ def encoder_backward(
 
     Level-2 input gradients become the upstream hidden-state gradients of
     each sentence encoding; word-vector gradients are never formed because
-    the embeddings are pretrained, not trained here.
+    the embeddings are pretrained, not trained here.  A tape recorded
+    with other dimensions raises ShapeError from `lstm_backward_dz`.
     """
-    if tape.d_w != params.d_w or tape.d_s != params.d_s or tape.d_d != params.d_d:
-        raise ShapeError(
-            f"tape dims ({tape.d_w}, {tape.d_s}, {tape.d_d}) do not match params "
-            f"({params.d_w}, {params.d_s}, {params.d_d})"
-        )
     dtype = params.level1.w.dtype
     zero_d = np.zeros(params.d_d, dtype=dtype)
     grads2, d_sent, _, _ = lstm_backward(params.level2, tape.level2_tape, d_xd, zero_d)

@@ -20,7 +20,7 @@ from .embeddings import EmbeddingTable
 from .encoder import EncoderParams
 from .encoder import encode_document as embed_document
 from .lstm import LstmParams
-from .numeric import ShapeError
+from .numeric import ShapeError, make_rng
 from .preprocess import VerificationInstance, encode_document
 from .siamese import PairScore, Thresholds, decide, distance
 from .train import (
@@ -274,7 +274,7 @@ def _run_fold(
     config: TrainConfig,
     seed_seq: np.random.SeedSequence,
 ) -> FoldResult:
-    rng = np.random.Generator(np.random.PCG64(seed_seq))
+    rng = make_rng(seed_seq)
     result: FitResult = fit(
         [instances[i] for i in split.train_ids],
         [instances[i] for i in split.dev_ids],
@@ -320,9 +320,7 @@ def cross_validate(
     report is identical whether folds run sequentially or on a thread
     pool; folds are aggregated in index order either way.
     """
-    split_rng = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(entropy=config.seed, spawn_key=(0,)))
-    )
+    split_rng = make_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(0,)))
     splits = make_cv_splits(len(instances), k=k, rng=split_rng)
     fold_seeds = np.random.SeedSequence(
         entropy=config.seed, spawn_key=(1,)

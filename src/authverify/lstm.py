@@ -6,9 +6,9 @@ Gate layout
 -----------
 The four gates f, i, o, c share stacked parameter storage: `w` holds the
 four recurrent matrices stacked row-wise, `u` the four input matrices and
-`b` the four bias vectors, always in the order (forget, input, output,
-candidate).  Per-gate views (`w_f`, `u_c`, ...) slice into the stacked
-arrays, so assigning through a view mutates the canonical storage.
+`b` the four bias vectors, always in GATE_ORDER (forget, input, output,
+candidate).  Gate k of a cell with output width d owns rows
+k*d .. (k+1)*d of each array; that is the only parameter layout.
 
 State freezing
 --------------
@@ -17,16 +17,17 @@ fixed once the true length is reached.  The frozen steps are exact copies,
 not multiplications by a mask, so the final state after freezing is
 bit-identical to the state after the last real step; gradients flow
 through the copies untouched, and gradients for padded inputs are zero.
+`lstm_run_frozen` is the one forward pass; a single cell update is a run
+of one step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
-from .numeric import ShapeError, uniform_init, uniform_init_vector
+from .numeric import ShapeError, uniform_init
 
 __all__ = [
     "GATE_ORDER",
@@ -34,7 +35,6 @@ __all__ = [
     "LstmState",
     "LstmTape",
     "sigmoid",
-    "lstm_step",
     "lstm_run_frozen",
     "lstm_backward",
     "lstm_backward_dz",
@@ -90,60 +90,6 @@ class LstmParams:
     def d_in(self) -> int:
         return self.u.shape[1]
 
-    def _block(self, a: np.ndarray, gate: str) -> np.ndarray:
-        k = GATE_ORDER.index(gate)
-        d = self.d_out
-        return a[k * d : (k + 1) * d]
-
-    # Per-gate views into the stacked storage (writable).
-    @property
-    def w_f(self) -> np.ndarray:
-        return self._block(self.w, "f")
-
-    @property
-    def w_i(self) -> np.ndarray:
-        return self._block(self.w, "i")
-
-    @property
-    def w_o(self) -> np.ndarray:
-        return self._block(self.w, "o")
-
-    @property
-    def w_c(self) -> np.ndarray:
-        return self._block(self.w, "c")
-
-    @property
-    def u_f(self) -> np.ndarray:
-        return self._block(self.u, "f")
-
-    @property
-    def u_i(self) -> np.ndarray:
-        return self._block(self.u, "i")
-
-    @property
-    def u_o(self) -> np.ndarray:
-        return self._block(self.u, "o")
-
-    @property
-    def u_c(self) -> np.ndarray:
-        return self._block(self.u, "c")
-
-    @property
-    def b_f(self) -> np.ndarray:
-        return self._block(self.b, "f")
-
-    @property
-    def b_i(self) -> np.ndarray:
-        return self._block(self.b, "i")
-
-    @property
-    def b_o(self) -> np.ndarray:
-        return self._block(self.b, "o")
-
-    @property
-    def b_c(self) -> np.ndarray:
-        return self._block(self.b, "c")
-
     @classmethod
     def zeros(cls, d_in: int, d_out: int) -> "LstmParams":
         return cls(
@@ -163,9 +109,9 @@ class LstmParams:
     ) -> "LstmParams":
         """All entries drawn uniformly from [lo, hi); draw order w, u, b."""
         return cls(
-            w=uniform_init(4 * d_out, d_out, lo, hi, rng),
-            u=uniform_init(4 * d_out, d_in, lo, hi, rng),
-            b=uniform_init_vector(4 * d_out, lo, hi, rng),
+            w=uniform_init((4 * d_out, d_out), lo, hi, rng),
+            u=uniform_init((4 * d_out, d_in), lo, hi, rng),
+            b=uniform_init(4 * d_out, lo, hi, rng),
         )
 
     def arrays(self) -> dict[str, np.ndarray]:
@@ -192,22 +138,6 @@ class LstmState:
     @classmethod
     def zeros(cls, d_out: int, dtype=np.float64) -> "LstmState":
         return cls(h=np.zeros(d_out, dtype=dtype), c=np.zeros(d_out, dtype=dtype))
-
-    def copy(self) -> "LstmState":
-        return LstmState(self.h.copy(), self.c.copy())
-
-
-class _StepCache(NamedTuple):
-    """Activations of one real step, as read back from an LstmTape."""
-
-    x_in: np.ndarray  # input after the input mask
-    h_in: np.ndarray  # previous hidden state after the recurrent mask
-    c_prev: np.ndarray
-    f: np.ndarray
-    i: np.ndarray
-    o: np.ndarray
-    c_tilde: np.ndarray
-    tanh_c: np.ndarray  # tanh of the new memory state
 
 
 @dataclass
@@ -236,75 +166,6 @@ class LstmTape:
     def x_in(self) -> np.ndarray:
         return self.xs if self.in_mask is None else self.xs * self.in_mask
 
-    @property
-    def steps(self) -> list[_StepCache]:
-        """Per-step views of the record."""
-        d = self.d_out
-        x_in = self.x_in
-        tanh_c = np.tanh(self.c[1:])
-        return [
-            _StepCache(x_in[t], self.h_in[t], self.c[t], g[:d], g[d : 2 * d],
-                       g[2 * d : 3 * d], g[3 * d :], tanh_c[t])
-            for t, g in enumerate(self.gates)
-        ]
-
-
-def _step(
-    params: LstmParams,
-    x_in: np.ndarray,
-    h: np.ndarray,
-    c: np.ndarray,
-    rec_mask: np.ndarray | None,
-    h_in: np.ndarray,
-    gates: np.ndarray,
-    c_new: np.ndarray,
-) -> np.ndarray:
-    """One cell update from the masked input `x_in`; writes the masked
-    recurrent input into `h_in`, the activations f, i, o, c~ into `gates`
-    and the new memory state into `c_new`, and returns h'.  Shapes are
-    checked by the callers."""
-    if rec_mask is None:
-        h_in[...] = h
-    else:
-        np.multiply(h, rec_mask, out=h_in)
-    z = params.w @ h_in + params.u @ x_in + params.b
-    d = params.d_out
-    gates[: 3 * d] = sigmoid(z[: 3 * d])
-    gates[3 * d :] = np.tanh(z[3 * d :])
-    np.add(gates[:d] * c, gates[d : 2 * d] * gates[3 * d :], out=c_new)
-    return gates[2 * d : 3 * d] * np.tanh(c_new)
-
-
-def lstm_step(
-    params: LstmParams,
-    x: np.ndarray,
-    state: LstmState,
-    in_mask: np.ndarray | None = None,
-    rec_mask: np.ndarray | None = None,
-) -> LstmState:
-    """One cell update.
-
-    f = sigmoid(W_f h + U_f x + b_f), i and o analogous,
-    c~ = tanh(W_c h + U_c x + b_c), c' = f*c + i*c~, h' = o*tanh(c').
-    Optional masks multiply the input and the recurrent hidden state
-    entering the gate preactivations (variational dropout).
-    """
-    if x.shape != (params.d_in,):
-        raise ShapeError(
-            f"input shape {x.shape} does not match cell d_in {params.d_in}"
-        )
-    if state.h.shape != (params.d_out,):
-        raise ShapeError(
-            f"state shape {state.h.shape} does not match cell d_out {params.d_out}"
-        )
-    d = params.d_out
-    dtype = params.w.dtype
-    x_in = x if in_mask is None else x * in_mask
-    c = np.empty(d, dtype=dtype)
-    h = _step(params, x_in, state.h, state.c, rec_mask,
-              np.empty(d, dtype=dtype), np.empty(4 * d, dtype=dtype), c)
-    return LstmState(h, c)
-
 
 def lstm_run_frozen(
     params: LstmParams,
@@ -316,6 +177,13 @@ def lstm_run_frozen(
     rec_mask: np.ndarray | None = None,
 ) -> tuple[LstmState, LstmTape]:
     """Apply the cell over `xs` for `true_len` steps, frozen up to `length`.
+
+    Each real step t computes, from the masked input x and the masked
+    previous hidden state h,
+    f = sigmoid(W_f h + U_f x + b_f), i and o analogous,
+    c~ = tanh(W_c h + U_c x + b_c), c' = f*c + i*c~, h' = o*tanh(c').
+    Optional masks multiply the input and the recurrent hidden state
+    entering the gate preactivations (variational dropout).
 
     Steps beyond true_len keep h and c fixed, so the returned final state
     is exactly the state after step true_len no matter how far the
@@ -348,7 +216,16 @@ def lstm_run_frozen(
     xs = xs[:true_len]
     xs_in = xs if in_mask is None else xs * in_mask
     for t in range(true_len):
-        h = _step(params, xs_in[t], h, cs[t], rec_mask, h_in[t], gates[t], cs[t + 1])
+        if rec_mask is None:
+            h_in[t] = h
+        else:
+            np.multiply(h, rec_mask, out=h_in[t])
+        z = params.w @ h_in[t] + params.u @ xs_in[t] + params.b
+        g = gates[t]
+        g[: 3 * d] = sigmoid(z[: 3 * d])
+        g[3 * d :] = np.tanh(z[3 * d :])
+        np.add(g[:d] * cs[t], g[d : 2 * d] * g[3 * d :], out=cs[t + 1])
+        h = g[2 * d : 3 * d] * np.tanh(cs[t + 1])
     state = LstmState(h, cs[true_len].copy())
     tape = LstmTape(
         d_in=params.d_in,

@@ -1,10 +1,10 @@
 """Dense linear-algebra substrate: seeded randomness, uniform
 initialization, and global-norm gradient clipping.
 
-Matrices are 2-D C-contiguous (row-major) numpy arrays, vectors are 1-D
-arrays, and every array is float64, the precision gradient checking
-needs.  Shapes must match exactly: none of the public operations
-broadcast.
+Parameters and gradients are plain C-contiguous (row-major) numpy arrays
+of float64, the precision gradient checking needs; `uniform_init` draws
+matrices and bias vectors alike.  Shapes must match exactly: none of the
+public operations broadcast.
 
 Randomness comes from numpy's PCG64 generator, whose stream is fixed by
 numpy's stability policy, so a given seed reproduces the same draws on
@@ -15,17 +15,11 @@ from __future__ import annotations
 
 import numpy as np
 
-Matrix = np.ndarray
-Vector = np.ndarray
-
 __all__ = [
-    "Matrix",
-    "Vector",
     "ShapeError",
     "NonFiniteError",
     "make_rng",
     "uniform_init",
-    "uniform_init_vector",
     "global_norm",
     "clip_by_global_norm",
 ]
@@ -50,28 +44,15 @@ def make_rng(seed: int | np.random.SeedSequence) -> np.random.Generator:
 
 
 def uniform_init(
-    rows: int,
-    cols: int,
+    shape: int | tuple[int, ...],
     lo: float,
     hi: float,
     rng: np.random.Generator,
-) -> Matrix:
-    """rows x cols matrix with entries drawn uniformly from [lo, hi)."""
+) -> np.ndarray:
+    """Array of `shape` with entries drawn uniformly from [lo, hi)."""
     if lo >= hi:
         raise ValueError(f"uniform_init requires lo < hi, got [{lo}, {hi})")
-    return rng.uniform(lo, hi, size=(rows, cols))
-
-
-def uniform_init_vector(
-    dim: int,
-    lo: float,
-    hi: float,
-    rng: np.random.Generator,
-) -> Vector:
-    """dim-dimensional vector with entries drawn uniformly from [lo, hi)."""
-    if lo >= hi:
-        raise ValueError(f"uniform_init_vector requires lo < hi, got [{lo}, {hi})")
-    return rng.uniform(lo, hi, size=dim)
+    return rng.uniform(lo, hi, size=shape)
 
 
 def global_norm(arrays: list[np.ndarray]) -> float:

@@ -366,8 +366,11 @@ def load_corpus(path: str) -> list[VerificationInstance]:
                 )
             if not isinstance(unknown, str):
                 raise CorpusFormatError(f"line {lineno}: `unknown` must be a string")
-            if label not in (0, 1):
-                raise CorpusFormatError(f"line {lineno}: `label` must be 0 or 1")
+            # bool is an int subclass and 1.0 == 1, so test the type too
+            if type(label) is not int or label not in (0, 1):
+                raise CorpusFormatError(
+                    f"line {lineno}: `label` must be the integer 0 or 1, got {label!r}"
+                )
             instances.append(VerificationInstance(list(known), unknown, label))
     return instances
 

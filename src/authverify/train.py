@@ -62,6 +62,12 @@ __all__ = [
 ]
 
 
+# Fields that configs and checkpoints once carried, each with the only
+# value the code still implements: every array is float64, and the known
+# documents are always reshuffled each epoch.
+RETIRED_FIELDS = {"dtype": "float64", "augment": True}
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """All hyperparameters of the model and its training run.
@@ -93,7 +99,6 @@ class TrainConfig:
     seed: int = 0
     init_lo: float = -0.05
     init_hi: float = 0.05
-    augment: bool = True
     in_batch_weight: float = 8.0
 
     def __post_init__(self) -> None:
@@ -121,13 +126,17 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        """Config from `to_dict` output.  Files written while configs had a
-        `dtype` field carry `"dtype": "float64"`, which is dropped; any
-        other dtype cannot be honoured, since every array is float64."""
+        """Config from `to_dict` output.  A retired field is dropped when it
+        carries the one value the code still implements (see
+        RETIRED_FIELDS); any other value cannot be honoured and raises."""
         d = dict(d)
-        dtype = d.pop("dtype", "float64")
-        if dtype != "float64":
-            raise ValueError(f"dtype {dtype!r} cannot be honoured: arrays are float64")
+        for name, kept in RETIRED_FIELDS.items():
+            value = d.pop(name, kept)
+            if value != kept:
+                raise ValueError(
+                    f"retired config field {name!r} only takes {kept!r}, "
+                    f"got {value!r}"
+                )
         known = {f.name for f in fields(cls)}
         unknown = set(d) - known
         if unknown:
@@ -500,7 +509,7 @@ def fit(
 
     for epoch in range(1, config.max_epochs + 1):
         started = time.perf_counter()
-        known = augment_epoch(known_rows, rng) if config.augment else known_rows
+        known = augment_epoch(known_rows, rng)
         pairs = [
             EncodedPair(join_encoded(k), u, inst.label)
             for k, u, inst in zip(known, unknowns, train_instances)

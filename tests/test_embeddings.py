@@ -57,6 +57,13 @@ class TestLoadEmbeddings:
         with pytest.raises(EmbeddingFormatError, match="line 2"):
             load_embeddings(str(path), 2)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_value_names_line(self, tmp_path, value):
+        path = tmp_path / "bad.txt"
+        write_lines(path, ["ok 0.1 0.2", f"broken 0.1 {value}"])
+        with pytest.raises(EmbeddingFormatError, match="non-finite value at line 2"):
+            load_embeddings(str(path), 2)
+
     def test_duplicates_last_wins_and_counted(self, tmp_path):
         path = tmp_path / "dup.txt"
         write_lines(path, ["a 1.0 2.0", "a 3.0 4.0"])

@@ -6,7 +6,6 @@ from authverify.encoder import (
     EncoderParams,
     encode_document,
     encode_document_training,
-    encode_sentence,
     encoder_backward,
     init_encoder_params,
     sample_dropout_masks,
@@ -16,7 +15,7 @@ from authverify.gradcheck import (
     compare_grads,
     numeric_gradient,
 )
-from authverify.lstm import LstmParams, LstmState, lstm_backward, lstm_step
+from authverify.lstm import LstmParams, lstm_backward
 from authverify.numeric import ShapeError, make_rng
 from authverify.preprocess import EncodedDocument
 
@@ -54,28 +53,6 @@ class TestEncoderParams:
             "level1.w", "level1.u", "level1.b",
             "level2.w", "level2.u", "level2.b",
         ]
-
-
-class TestEncodeSentence:
-    def test_zero_params_zero_embedding(self, rng):
-        level1 = LstmParams.zeros(3, 2)
-        vectors = rng.uniform(-1, 1, size=(4, 3))
-        out = encode_sentence(level1, vectors, 4, 4)
-        np.testing.assert_array_equal(out, np.zeros(2))
-
-    def test_single_step_reduction(self, rng):
-        level1 = LstmParams.init_uniform(3, 2, -0.5, 0.5, rng)
-        vectors = rng.uniform(-1, 1, size=(1, 3))
-        out = encode_sentence(level1, vectors, 1, 8)
-        step = lstm_step(level1, vectors[0], LstmState.zeros(2))
-        np.testing.assert_array_equal(out, step.h)
-
-    def test_padding_invariance(self, rng):
-        level1 = LstmParams.init_uniform(3, 2, -0.5, 0.5, rng)
-        vectors = rng.uniform(-1, 1, size=(3, 3))
-        a = encode_sentence(level1, vectors, 3, 3)
-        b = encode_sentence(level1, np.vstack([vectors, np.zeros((30, 3))]), 3, 33)
-        np.testing.assert_array_equal(a, b)
 
 
 class TestEncodeDocument:

@@ -7,7 +7,6 @@ from authverify.lstm import (
     LstmState,
     lstm_backward,
     lstm_run_frozen,
-    lstm_step,
     sigmoid,
 )
 from authverify.numeric import ShapeError, make_rng
@@ -31,14 +30,6 @@ class TestSigmoid:
 
 
 class TestLstmParams:
-    def test_gate_views_share_storage(self):
-        p = LstmParams.zeros(3, 2)
-        p.w_i[:] = 7.0
-        assert np.all(p.w[2:4] == 7.0)
-        assert p.w_f.shape == p.w_i.shape == (2, 2)
-        assert p.u_c.shape == (2, 3)
-        assert p.b_o.shape == (2,)
-
     def test_init_uniform_range_and_determinism(self):
         a = LstmParams.init_uniform(3, 2, -0.05, 0.05, make_rng(4))
         b = LstmParams.init_uniform(3, 2, -0.05, 0.05, make_rng(4))
@@ -56,14 +47,16 @@ class TestLstmParams:
 class TestLstmStep:
     def test_all_zero_params_zero_state(self, rng):
         p = LstmParams.zeros(3, 2)
-        out = lstm_step(p, rng.normal(size=3), LstmState.zeros(2))
+        out, _ = lstm_run_frozen(p, rng.normal(size=3)[None], 1, 1,
+                                 init=LstmState.zeros(2))
         np.testing.assert_array_equal(out.h, np.zeros(2))
         np.testing.assert_array_equal(out.c, np.zeros(2))
 
     def test_scalar_hand_computation(self):
         p = LstmParams.zeros(1, 1)
-        p.u_c[:] = 1.0
-        out = lstm_step(p, np.array([1.0]), LstmState.zeros(1))
+        p.u[3:] = 1.0  # candidate block
+        out, _ = lstm_run_frozen(p, np.array([1.0])[None], 1, 1,
+                                 init=LstmState.zeros(1))
         assert out.c[0] == pytest.approx(SCALAR_C, abs=1e-12)
         assert out.h[0] == pytest.approx(SCALAR_H, abs=1e-12)
 
@@ -73,25 +66,24 @@ class TestLstmStep:
             u=rng.normal(size=(8, 3)),
             b=np.zeros(8),
         )
-        out = lstm_step(p, np.zeros(3), LstmState.zeros(2))
+        out, _ = lstm_run_frozen(p, np.zeros(3)[None], 1, 1, init=LstmState.zeros(2))
         np.testing.assert_array_equal(out.h, np.zeros(2))
 
     def test_gate_ranges(self, rng):
         p = LstmParams.init_uniform(3, 4, -0.5, 0.5, rng)
         xs = rng.normal(size=(6, 3))
         _, tape = lstm_run_frozen(p, xs, 6, 6)
-        for step in tape.steps:
-            for gate in (step.f, step.i, step.o):
-                assert np.all(gate > 0.0) and np.all(gate < 1.0)
-            assert np.all(np.abs(step.c_tilde) < 1.0)
-            assert np.all(np.abs(step.tanh_c) < 1.0)
+        sigmoid_gates, c_tilde = tape.gates[:, :12], tape.gates[:, 12:]
+        assert np.all(sigmoid_gates > 0.0) and np.all(sigmoid_gates < 1.0)
+        assert np.all(np.abs(c_tilde) < 1.0)
+        assert np.all(np.abs(np.tanh(tape.c[1:])) < 1.0)
 
     def test_shape_errors(self):
         p = LstmParams.zeros(3, 2)
         with pytest.raises(ShapeError):
-            lstm_step(p, np.zeros(4), LstmState.zeros(2))
+            lstm_run_frozen(p, np.zeros(4)[None], 1, 1, init=LstmState.zeros(2))
         with pytest.raises(ShapeError):
-            lstm_step(p, np.zeros(3), LstmState.zeros(5))
+            lstm_run_frozen(p, np.zeros(3)[None], 1, 1, init=LstmState.zeros(5))
 
 
 class TestLstmRunFrozen:
@@ -100,7 +92,7 @@ class TestLstmRunFrozen:
         xs = rng.normal(size=(4, 3))
         state = LstmState.zeros(2)
         for t in range(4):
-            state = lstm_step(p, xs[t], state)
+            state, _ = lstm_run_frozen(p, xs[t][None], 1, 1, init=state)
         final, _ = lstm_run_frozen(p, xs, 4, 4)
         np.testing.assert_array_equal(final.h, state.h)
         np.testing.assert_array_equal(final.c, state.c)
@@ -147,7 +139,7 @@ class TestLstmBackward:
 
     def test_scalar_cell_finite_difference(self):
         p = LstmParams.zeros(1, 1)
-        p.u_c[:] = 1.0
+        p.u[3:] = 1.0  # candidate block
         xs = np.array([[1.0]])
 
         def loss():
@@ -178,8 +170,8 @@ class TestLstmBackward:
         np.testing.assert_array_equal(dc0_s, dc0_f)
 
     def test_matches_per_step_reference(self, rng):
-        # the per-step loop with outer products, read from the tape's step
-        # views; only the summation order differs
+        # the per-step loop with outer products, read from the tape's
+        # arrays row by row; only the summation order differs
         p = LstmParams.init_uniform(4, 3, -0.5, 0.5, rng)
         xs = rng.normal(size=(7, 4))
         in_mask, rec_mask = rng.uniform(0.5, 1.5, size=4), rng.uniform(0.5, 1.5, size=3)
@@ -190,21 +182,22 @@ class TestLstmBackward:
         ref_inputs = np.zeros((7, 4))
         dh, dc = dh_final.copy(), dc_final.copy()
         for t in range(4, -1, -1):
-            s = tape.steps[t]
-            do = dh * s.tanh_c
-            dc = dc + dh * s.o * (1.0 - s.tanh_c * s.tanh_c)
+            f, i, o, c_tilde = np.split(tape.gates[t], 4)
+            c_prev, tanh_c = tape.c[t], np.tanh(tape.c[t + 1])
+            do = dh * tanh_c
+            dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
             dz = np.concatenate((
-                dc * s.c_prev * s.f * (1.0 - s.f),
-                dc * s.c_tilde * s.i * (1.0 - s.i),
-                do * s.o * (1.0 - s.o),
-                dc * s.i * (1.0 - s.c_tilde * s.c_tilde),
+                dc * c_prev * f * (1.0 - f),
+                dc * c_tilde * i * (1.0 - i),
+                do * o * (1.0 - o),
+                dc * i * (1.0 - c_tilde * c_tilde),
             ))
-            ref.w += np.outer(dz, s.h_in)
-            ref.u += np.outer(dz, s.x_in)
+            ref.w += np.outer(dz, tape.h_in[t])
+            ref.u += np.outer(dz, tape.x_in[t])
             ref.b += dz
             ref_inputs[t] = (p.u.T @ dz) * in_mask
             dh = (p.w.T @ dz) * rec_mask
-            dc = dc * s.f
+            dc = dc * f
 
         grads, input_grads, dh0, dc0 = lstm_backward(p, tape, dh_final, dc_final)
         for name, a in grads.arrays().items():

@@ -7,33 +7,32 @@ from authverify.numeric import (
     global_norm,
     make_rng,
     uniform_init,
-    uniform_init_vector,
 )
 
 
 class TestUniformInit:
     def test_range(self):
-        m = uniform_init(2, 2, -0.05, 0.05, make_rng(7))
+        m = uniform_init((2, 2), -0.05, 0.05, make_rng(7))
         assert np.all(m >= -0.05) and np.all(m < 0.05)
         assert m.shape == (2, 2)
 
     def test_deterministic(self):
-        a = uniform_init(5, 3, -0.05, 0.05, make_rng(7))
-        b = uniform_init(5, 3, -0.05, 0.05, make_rng(7))
+        a = uniform_init((5, 3), -0.05, 0.05, make_rng(7))
+        b = uniform_init((5, 3), -0.05, 0.05, make_rng(7))
         np.testing.assert_array_equal(a, b)
 
     def test_large_sample_mean(self):
-        m = uniform_init(1000, 1000, -0.05, 0.05, make_rng(3))
+        m = uniform_init((1000, 1000), -0.05, 0.05, make_rng(3))
         assert abs(float(m.mean())) < 0.002
 
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
-            uniform_init(2, 2, 0.05, -0.05, make_rng(0))
+            uniform_init((2, 2), 0.05, -0.05, make_rng(0))
         with pytest.raises(ValueError):
-            uniform_init_vector(2, 1.0, 1.0, make_rng(0))
+            uniform_init(2, 1.0, 1.0, make_rng(0))
 
     def test_vector_variant(self):
-        v = uniform_init_vector(100, -1.0, 1.0, make_rng(5))
+        v = uniform_init(100, -1.0, 1.0, make_rng(5))
         assert v.shape == (100,)
         assert np.all(v >= -1.0) and np.all(v < 1.0)
 

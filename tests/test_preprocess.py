@@ -357,3 +357,14 @@ class TestCorpusIO:
         )
         with pytest.raises(CorpusFormatError, match="label"):
             load_corpus(str(path))
+
+    @pytest.mark.parametrize("label", ["true", "false", "1.0", "0.0"])
+    def test_non_integer_label_rejected(self, tmp_path, label):
+        # True == 1 and 1.0 == 1 in Python; the file must hold the integer
+        path = tmp_path / "bad.jsonl"
+        path.write_text(
+            '{"known": ["a"], "unknown": "b", "label": 1}\n'
+            f'{{"known": ["a"], "unknown": "b", "label": {label}}}\n'
+        )
+        with pytest.raises(CorpusFormatError, match="line 2: `label`"):
+            load_corpus(str(path))

@@ -123,6 +123,15 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="float32"):
             TrainConfig.from_dict({**tiny_config().to_dict(), "dtype": "float32"})
 
+    def test_legacy_augment_true_dropped(self):
+        c = tiny_config(tau1=0.5, tau2=2.5)
+        assert TrainConfig.from_dict({**c.to_dict(), "augment": True}) == c
+        assert "augment" not in c.to_dict()
+
+    def test_augment_false_rejected(self):
+        with pytest.raises(ValueError, match="augment"):
+            TrainConfig.from_dict({**tiny_config().to_dict(), "augment": False})
+
     def test_validation(self):
         with pytest.raises(ValueError):
             tiny_config(tau1=3.0, tau2=1.0)

@@ -1,0 +1,101 @@
+"""Bitwise fingerprint of training and cross-validation, for checking that a
+refactor keeps `fit` and `cross_validate` output bit for bit.
+
+Prints one JSON line of sha256 digests:
+
+- `fit`: criterion 6's corpus and first split, trained with
+  `bench_config(7).updated(max_epochs=3)`;
+- `fit_paper_loss`: the same with `in_batch_weight=0, max_epochs=2`;
+- `cv`: criterion 7's `cross_validate` report (its corpus,
+  `bench_config().updated(max_epochs=2, patience=2)`, seed 42, one
+  thread) with its `config` object removed; `cv_config_keys` lists that
+  object's keys, the one part expected to change when a config field is
+  added or retired.
+
+A fit digest covers the parameter bytes, the training log without its
+`seconds` timings, `best_epoch`, `best_dev_accuracy` and `dev_distances`.
+The configs come from `tests/test_acceptance.py`, so the two cannot drift.
+
+Run it against any source tree and compare the lines:
+
+    PYTHONPATH=<tree>/src python tools/fit_digest.py
+
+It takes about a minute and a half on one CPU core.  It is not part of
+the test suite.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import sys
+import tempfile
+
+TESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests")
+sys.path.insert(0, TESTS)
+
+from test_acceptance import bench_config  # noqa: E402
+
+import authverify as av  # noqa: E402
+from authverify.synthetic import (  # noqa: E402
+    SyntheticSpec,
+    generate_corpus,
+    write_embeddings,
+)
+
+
+def load_table(tmp: str, spec: SyntheticSpec, seed: int):
+    """The corpus of `spec` and its embedding table, read back from text
+    as the acceptance tests and the CLI read it."""
+    instances, words, emb = generate_corpus(spec, seed=seed)
+    path = os.path.join(tmp, f"embeddings_{seed}.txt")
+    write_embeddings(path, words, emb)
+    return instances, av.load_embeddings(path, spec.emb_dim)
+
+
+def fit_digest(instances, table, config) -> str:
+    split = av.make_cv_splits(len(instances), k=10, rng=av.make_rng(config.seed))[0]
+    result = av.fit(
+        [instances[i] for i in split.train_ids],
+        [instances[i] for i in split.dev_ids],
+        table,
+        config,
+    )
+    h = hashlib.sha256()
+    for name, a in result.params.arrays().items():
+        h.update(name.encode())
+        h.update(a.tobytes())
+    record = {
+        "log": [{k: v for k, v in e.items() if k != "seconds"} for e in result.log],
+        "best_epoch": result.best_epoch,
+        "best_dev_accuracy": result.best_dev_accuracy,
+        "dev_distances": result.dev_distances,
+    }
+    h.update(json.dumps(record, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        instances, table = load_table(tmp, SyntheticSpec(), seed=0)
+        config = bench_config(7).updated(max_epochs=3)
+        out = {
+            "fit": fit_digest(instances, table, config),
+            "fit_paper_loss": fit_digest(
+                instances, table, config.updated(in_batch_weight=0.0, max_epochs=2)
+            ),
+        }
+        instances, table = load_table(tmp, SyntheticSpec(n_instances=120), seed=11)
+        cv_config = bench_config().updated(max_epochs=2, patience=2, seed=42)
+        report = av.cross_validate(instances, table, cv_config, k=10, threads=1)
+        payload = report.to_json_dict()
+        out["cv_config_keys"] = sorted(payload.pop("config"))
+        out["cv"] = hashlib.sha256(
+            json.dumps(payload, sort_keys=True).encode()
+        ).hexdigest()
+    print(json.dumps(out, sort_keys=True))
+
+
+if __name__ == "__main__":
+    main()
