@@ -36,8 +36,8 @@ from .lstm import (
     LstmParams,
     LstmState,
     LstmTape,
-    lstm_backward,
-    lstm_run_frozen,
+    lstm_run,
+    lstm_run_backward,
 )
 from .numeric import (
     ShapeError,

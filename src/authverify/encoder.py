@@ -3,11 +3,14 @@
 Level 1 maps each sentence's word vectors to a sentence embedding (the
 word LSTM's final hidden state under freezing); level 2 runs over the
 sentence embeddings and its final hidden state is the document embedding.
-Both levels start from zero states, and both call `lstm_run_frozen`
-directly, with the sentence's or the document's true length and its
-padded length.  Variational dropout masks, when given, multiply the input
-and recurrent activations at every step of a sequence; one level-1 mask
-pair is shared by all sentences of a document.
+Both levels start from zero states and call `lstm_run`: level 1 runs
+every sentence of a document together, one row per sentence, for as many
+steps as the longest sentence has words; level 2 runs the document as one
+row.  A sentence past its length is frozen by exact copies, and each
+row's matrix-vector products are separate gemv calls, so a sentence gets
+the bits it would get encoded alone.  Variational dropout masks, when
+given, multiply the input and recurrent activations at every step of a
+sequence; one level-1 mask pair is shared by all sentences of a document.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ import numpy as np
 from .lstm import (
     LstmParams,
     LstmTape,
-    lstm_backward,
     lstm_backward_dz,
-    lstm_run_frozen,
+    lstm_run,
+    lstm_run_backward,
     param_gradients,
 )
 from .numeric import ShapeError
@@ -160,9 +163,9 @@ def sample_dropout_masks(
 class DocumentTape:
     """Forward caches of a whole document encoding, for encoder_backward."""
 
-    sentence_tapes: list[LstmTape] = field(repr=False)
+    level1_tape: LstmTape = field(repr=False)  # one row per sentence
     sentence_embeddings: np.ndarray = field(repr=False)  # (num_sentences, d_s)
-    level2_tape: LstmTape = field(repr=False)
+    level2_tape: LstmTape = field(repr=False)  # one row
 
 
 def encode_document_training(
@@ -172,25 +175,18 @@ def encode_document_training(
 ) -> tuple[np.ndarray, DocumentTape]:
     """Document embedding plus the tape bundle needed for the backward pass."""
     n = doc.num_sentences
-    dtype = params.level1.w.dtype
-    sent_embeddings = np.zeros((n, params.d_s), dtype=dtype)
-    sent_tapes: list[LstmTape] = []
-    in_mask = masks.input1 if masks is not None else None
-    rec_mask = masks.recurrent1 if masks is not None else None
-    for k in range(n):
-        final, tape = lstm_run_frozen(
-            params.level1, doc.words[k], int(doc.sent_lengths[k]), doc.max_words,
-            in_mask=in_mask, rec_mask=rec_mask,
-        )
-        sent_embeddings[k] = final.h
-        sent_tapes.append(tape)
-    in_mask = masks.input2 if masks is not None else None
-    rec_mask = masks.recurrent2 if masks is not None else None
-    final, level2_tape = lstm_run_frozen(
-        params.level2, sent_embeddings, n, doc.max_sentences,
-        in_mask=in_mask, rec_mask=rec_mask,
+    sent_final, level1_tape = lstm_run(
+        params.level1, doc.words[:n], doc.sent_lengths,
+        in_mask=masks.input1 if masks is not None else None,
+        rec_mask=masks.recurrent1 if masks is not None else None,
     )
-    return final.h, DocumentTape(sent_tapes, sent_embeddings, level2_tape)
+    sent_embeddings = sent_final.h
+    final, level2_tape = lstm_run(
+        params.level2, sent_embeddings[None], [n],
+        in_mask=masks.input2 if masks is not None else None,
+        rec_mask=masks.recurrent2 if masks is not None else None,
+    )
+    return final.h[0], DocumentTape(level1_tape, sent_embeddings, level2_tape)
 
 
 def encode_document(
@@ -211,24 +207,16 @@ def encoder_backward(
     """Exact parameter gradients of a scalar loss given dL/d(document embedding).
 
     Level-2 input gradients become the upstream hidden-state gradients of
-    each sentence encoding; word-vector gradients are never formed because
-    the embeddings are pretrained, not trained here.  A tape recorded
-    with other dimensions raises ShapeError from `lstm_backward_dz`.
+    the sentence rows of level 1, which walks back through every sentence
+    at once; word-vector gradients are never formed because the
+    embeddings are pretrained, not trained here.  A tape recorded with
+    other dimensions raises ShapeError from `lstm_backward_dz`.
     """
     dtype = params.level1.w.dtype
-    zero_d = np.zeros(params.d_d, dtype=dtype)
-    grads2, d_sent, _, _ = lstm_backward(params.level2, tape.level2_tape, d_xd, zero_d)
-
-    # level-1 parameter gradients: one matrix product per parameter over
-    # the real steps of every sentence
-    zero_s = np.zeros(params.d_s, dtype=dtype)
-    dz = [
-        lstm_backward_dz(params.level1, sent_tape, d_sent[k], zero_s)[0]
-        for k, sent_tape in enumerate(tape.sentence_tapes)
-    ]
-    grads1 = param_gradients(
-        np.concatenate(dz),
-        np.concatenate([t.h_in for t in tape.sentence_tapes]),
-        np.concatenate([t.x_in for t in tape.sentence_tapes]),
+    zero_d = np.zeros((1, params.d_d), dtype=dtype)
+    grads2, d_sent, _, _ = lstm_run_backward(
+        params.level2, tape.level2_tape, d_xd[None], zero_d
     )
-    return EncoderParams(level1=grads1, level2=grads2)
+    zero_s = np.zeros_like(d_sent[0])
+    dz, _, _ = lstm_backward_dz(params.level1, tape.level1_tape, d_sent[0], zero_s)
+    return EncoderParams(level1=param_gradients(dz, tape.level1_tape), level2=grads2)

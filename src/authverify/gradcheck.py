@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import EncoderParams, encode_document_training, encoder_backward
-from .lstm import LstmParams, LstmState, lstm_backward, lstm_run_frozen
+from .lstm import LstmParams, LstmState, lstm_run, lstm_run_backward
 from .numeric import make_rng
 from .preprocess import EncodedDocument
 from .siamese import Thresholds, contrastive_loss, contrastive_loss_grad, distance
@@ -97,33 +97,40 @@ def numeric_gradient(loss_fn, array: np.ndarray, eps: float = EPS) -> np.ndarray
 
 
 def check_lstm_config(
-    d_in: int, d_out: int, steps: int, seed: int, label: str = ""
+    d_in: int,
+    d_out: int,
+    steps: int | tuple[int, ...],
+    seed: int,
+    label: str = "",
 ) -> GradCheckReport:
     """One random cell configuration: checks gradients w.r.t. every
-    parameter, every true input, and the initial state.
+    parameter, every input, and the initial state.
 
-    The scalar test loss is sum(h_final) + 0.5 * sum(c_final), which
-    exercises both upstream paths of the backward pass.  The sequence is
-    padded to twice its true length so the check also covers freezing.
+    `steps` is one sequence's length, or a tuple of lengths run together
+    as rows of one batch.  The scalar test loss is sum(h_final) +
+    0.5 * sum(c_final) over every row, which exercises both upstream
+    paths of the backward pass.  Each row's inputs run on with random
+    values to twice the longest length, so the check also covers
+    freezing: those inputs must get exactly zero gradient.
     """
     rng = make_rng(seed)
+    lengths = np.atleast_1d(steps)
+    rows, longest = len(lengths), int(lengths.max())
     params = LstmParams.init_uniform(d_in, d_out, -0.5, 0.5, rng)
-    xs = rng.uniform(-1.0, 1.0, size=(steps, d_in))
-    h0 = rng.uniform(-0.5, 0.5, size=d_out)
-    c0 = rng.uniform(-0.5, 0.5, size=d_out)
-    length = 2 * steps
+    xs = rng.uniform(-1.0, 1.0, size=(rows, longest, d_in))
+    h0 = rng.uniform(-0.5, 0.5, size=(rows, d_out))
+    c0 = rng.uniform(-0.5, 0.5, size=(rows, d_out))
+    xs = np.concatenate([xs, rng.uniform(-1.0, 1.0, size=xs.shape)], axis=1)
 
     def loss() -> float:
-        final, _ = lstm_run_frozen(
-            params, xs, steps, length, init=LstmState(h0.copy(), c0.copy())
+        final, _ = lstm_run(
+            params, xs, lengths, init=LstmState(h0.copy(), c0.copy())
         )
         return float(np.sum(final.h) + 0.5 * np.sum(final.c))
 
-    final, tape = lstm_run_frozen(
-        params, xs, steps, length, init=LstmState(h0.copy(), c0.copy())
-    )
-    grads, input_grads, d_h0, d_c0 = lstm_backward(
-        params, tape, np.ones(d_out), np.full(d_out, 0.5)
+    final, tape = lstm_run(params, xs, lengths, init=LstmState(h0.copy(), c0.copy()))
+    grads, input_grads, d_h0, d_c0 = lstm_run_backward(
+        params, tape, np.ones((rows, d_out)), np.full((rows, d_out), 0.5)
     )
 
     failures: list[GradCheckFailure] = []
@@ -132,15 +139,16 @@ def check_lstm_config(
         ("w", grads.w, params.w),
         ("u", grads.u, params.u),
         ("b", grads.b, params.b),
-        ("inputs", input_grads[:steps], xs),
+        ("inputs", input_grads, xs),
         ("h0", d_h0, h0),
         ("c0", d_c0, c0),
     ]:
         numeric = numeric_gradient(loss, target)
         failures.extend(compare_grads(name, analytic, numeric))
         checked += analytic.size
-    # padded input rows carry exactly zero gradient
-    if steps < length and np.any(input_grads[steps:] != 0.0):
+    # inputs past each row's length carry exactly zero gradient
+    padded = np.arange(xs.shape[1]) >= lengths[:, None]
+    if np.any(input_grads[padded] != 0.0):
         failures.append(GradCheckFailure("inputs_padded", (), 0.0, 1.0, 1.0))
     return GradCheckReport(
         label=label or f"lstm d_in={d_in} d_out={d_out} steps={steps} seed={seed}",

@@ -1,6 +1,6 @@
-"""A single LSTM cell built from scratch: exact forward dynamics, sequence
-application with a state-freezing padding rule, and an analytic backward
-pass (backpropagation through time).
+"""A single LSTM cell built from scratch: exact forward dynamics, runs of
+many sequences at once with a state-freezing padding rule, and an
+analytic backward pass (backpropagation through time).
 
 Gate layout
 -----------
@@ -10,15 +10,22 @@ four recurrent matrices stacked row-wise, `u` the four input matrices and
 candidate).  Gate k of a cell with output width d owns rows
 k*d .. (k+1)*d of each array; that is the only parameter layout.
 
+Rows run together
+-----------------
+`lstm_run` is the one forward pass: it steps R sequences (rows) of
+different lengths together, and one sequence is a run of one row.  Every
+matrix-vector product is its own gemv call, made for all rows by one
+stacked matmul, so a row gets the bits it would get running alone; a
+GEMM over the rows would sum in another order.  `lstm_backward_dz` walks
+the same rows back together, one W^T gemv per row and step.
+
 State freezing
 --------------
-A sequence shorter than its unrolled length keeps hidden and memory state
-fixed once the true length is reached.  The frozen steps are exact copies,
+A row shorter than the run keeps hidden and memory state fixed once its
+length is reached.  The frozen steps are exact copies made by `np.where`,
 not multiplications by a mask, so the final state after freezing is
 bit-identical to the state after the last real step; gradients flow
 through the copies untouched, and gradients for padded inputs are zero.
-`lstm_run_frozen` is the one forward pass; a single cell update is a run
-of one step.
 """
 
 from __future__ import annotations
@@ -35,8 +42,8 @@ __all__ = [
     "LstmState",
     "LstmTape",
     "sigmoid",
-    "lstm_run_frozen",
-    "lstm_backward",
+    "lstm_run",
+    "lstm_run_backward",
     "lstm_backward_dz",
     "param_gradients",
 ]
@@ -44,11 +51,15 @@ __all__ = [
 GATE_ORDER = ("f", "i", "o", "c")
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function, exp taken of -|z| only."""
-    t = np.exp(-np.abs(z))
-    d = 1.0 + t
-    return np.where(z >= 0.0, 1.0 / d, t / d)
+def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Numerically stable logistic function, exp taken of -|z| only:
+    1 / (1 + t) where z >= 0 and t / (1 + t) elsewhere, t = exp(-|z|)."""
+    t = np.abs(z)
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    d = t + 1.0
+    np.copyto(t, 1.0, where=z >= 0.0)
+    return np.divide(t, d, out=out)
 
 
 @dataclass
@@ -124,113 +135,169 @@ class LstmParams:
 
 @dataclass
 class LstmState:
-    """Hidden state h and memory state c of one cell."""
+    """Hidden states h and memory states c of R rows, each (R, d_out)."""
 
     h: np.ndarray
     c: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.h.shape != self.c.shape or self.h.ndim != 1:
+        if self.h.shape != self.c.shape or self.h.ndim != 2:
             raise ShapeError(
-                f"state h {self.h.shape} and c {self.c.shape} must be equal 1-D"
+                f"state h {self.h.shape} and c {self.c.shape} must be equal 2-D"
             )
 
     @classmethod
-    def zeros(cls, d_out: int, dtype=np.float64) -> "LstmState":
-        return cls(h=np.zeros(d_out, dtype=dtype), c=np.zeros(d_out, dtype=dtype))
+    def zeros(cls, rows: int, d_out: int, dtype=np.float64) -> "LstmState":
+        return cls(
+            h=np.zeros((rows, d_out), dtype=dtype),
+            c=np.zeros((rows, d_out), dtype=dtype),
+        )
 
 
 @dataclass
 class LstmTape:
-    """Forward-pass record for lstm_backward.
+    """Forward-pass record of a run, for the backward pass.
 
-    One row per real step; frozen steps carry no rows because they are
-    exact copies.  `length` is the unrolled length the sequence was padded
-    to, `true_len` the number of real steps.  The inputs are held by
-    reference and masked again in the backward pass, and tanh of the
-    memory state is recomputed there, so a step stores 6 * d_out floats.
+    R rows are stepped together for T steps, T being the longest row's
+    length.  Row r's real steps are 0 .. lengths[r] - 1; its entries past
+    them belong to frozen steps, which the backward pass skips.  `length`
+    is the number of steps the inputs were padded to (>= T).  The inputs
+    are held by reference and masked again in the backward pass, and tanh
+    of the memory state is recomputed there, so a step stores 6 * d_out
+    floats per row.
     """
 
     d_in: int
     d_out: int
-    true_len: int
+    lengths: np.ndarray  # (R,) real steps of each row
     length: int
-    xs: np.ndarray = field(repr=False)  # (true_len, d_in), unmasked
-    h_in: np.ndarray = field(repr=False)  # (true_len, d_out), masked
-    gates: np.ndarray = field(repr=False)  # (true_len, 4*d_out): f, i, o, c~
-    c: np.ndarray = field(repr=False)  # (true_len + 1, d_out): c_0 .. c_T
-    in_mask: np.ndarray | None = None
-    rec_mask: np.ndarray | None = None
+    xs: np.ndarray = field(repr=False)  # (R, T, d_in), unmasked
+    h_in: np.ndarray = field(repr=False)  # (R, T, d_out), masked
+    gates: np.ndarray = field(repr=False)  # (R, T, 4*d_out): f, i, o, c~
+    c: np.ndarray = field(repr=False)  # (R, T + 1, d_out): c_0 .. c_T
+    in_mask: np.ndarray | None = None  # (d_in,) or (R, d_in)
+    rec_mask: np.ndarray | None = None  # (d_out,) or (R, d_out)
 
     @property
     def x_in(self) -> np.ndarray:
-        return self.xs if self.in_mask is None else self.xs * self.in_mask
+        return self.xs if self.in_mask is None else self.xs * _per_step(self.in_mask)
+
+    @property
+    def real(self) -> np.ndarray:
+        """(R, T) booleans, True at each row's real steps."""
+        return np.arange(self.xs.shape[1]) < self.lengths[:, None]
 
 
-def lstm_run_frozen(
+def _per_step(mask: np.ndarray) -> np.ndarray:
+    """A (d,) mask as it is, an (R, d) mask as (R, 1, d): either scales
+    every step of an (R, T, d) array."""
+    return mask if mask.ndim == 1 else mask[:, None, :]
+
+
+def _gemv(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """`a @ r` for every vector r along the last axis of `rows`.
+
+    The stacked matmul makes one gemv call per vector, so each result has
+    the bits of `a @ r` computed alone.  A GEMM (`rows @ a.T`) would sum
+    in another order and change the last bits.
+    """
+    return np.matmul(a, rows[..., None])[..., 0]
+
+
+def lstm_run(
     params: LstmParams,
     xs: np.ndarray,
-    true_len: int,
-    length: int,
+    lengths: np.ndarray | list[int],
     init: LstmState | None = None,
     in_mask: np.ndarray | None = None,
     rec_mask: np.ndarray | None = None,
 ) -> tuple[LstmState, LstmTape]:
-    """Apply the cell over `xs` for `true_len` steps, frozen up to `length`.
+    """Apply the cell to R sequences at once, row r for lengths[r] steps.
 
     Each real step t computes, from the masked input x and the masked
     previous hidden state h,
     f = sigmoid(W_f h + U_f x + b_f), i and o analogous,
     c~ = tanh(W_c h + U_c x + b_c), c' = f*c + i*c~, h' = o*tanh(c').
-    Optional masks multiply the input and the recurrent hidden state
-    entering the gate preactivations (variational dropout).
+    Optional masks, (d,) shared by every row or (R, d) one per row,
+    multiply the input and the recurrent hidden state entering the gate
+    preactivations (variational dropout).
 
-    Steps beyond true_len keep h and c fixed, so the returned final state
-    is exactly the state after step true_len no matter how far the
-    sequence is padded.  `xs` is (>= true_len, d_in); rows past true_len
-    are ignored.
+    `xs` is (R, length, d_in) with length >= max(lengths); a row's inputs
+    past its length are ignored.  The input projection U x of every step
+    is taken before the recurrence.  All rows step together; a row past
+    its length keeps h and c through `np.where` copies, so the returned
+    state, each (R, d_out), is exactly the state after each row's last
+    real step however far the rows are padded.  Every matrix-vector
+    product is its own gemv call (`_gemv`), so a row gets the same bits
+    whether it runs alone or beside others.
     """
-    if true_len == 0:
-        raise ValueError("lstm_run_frozen requires true_len >= 1")
-    if true_len > length:
-        raise ValueError(f"true_len {true_len} exceeds unrolled length {length}")
     xs = np.asarray(xs)
-    if xs.ndim != 2 or xs.shape[1] != params.d_in:
+    if xs.ndim != 3 or xs.shape[2] != params.d_in:
         raise ShapeError(
-            f"xs shape {xs.shape} does not match (steps, d_in={params.d_in})"
+            f"xs shape {xs.shape} does not match (rows, steps, d_in={params.d_in})"
         )
-    if xs.shape[0] < true_len:
-        raise ValueError(f"xs has {xs.shape[0]} rows, needs at least {true_len}")
-    state = LstmState.zeros(params.d_out, dtype=params.w.dtype) if init is None else init
-    if state.h.shape != (params.d_out,):
-        raise ShapeError(
-            f"init state shape {state.h.shape} does not match d_out {params.d_out}"
-        )
+    rows = xs.shape[0]
+    lengths = np.asarray(lengths)
+    if lengths.shape != (rows,):
+        raise ShapeError(f"lengths shape {lengths.shape} must be ({rows},)")
+    if rows == 0 or lengths.min() < 1:
+        raise ValueError("lstm_run requires at least one row, each of length >= 1")
+    shortest, steps = int(lengths.min()), int(lengths.max())
+    if steps > xs.shape[1]:
+        raise ValueError(f"row length {steps} exceeds the {xs.shape[1]} steps of xs")
     d = params.d_out
+    for name, mask, dim in (
+        ("in_mask", in_mask, params.d_in), ("rec_mask", rec_mask, d)
+    ):
+        if mask is not None and mask.shape not in ((dim,), (rows, dim)):
+            raise ShapeError(
+                f"{name} shape {mask.shape} must be ({dim},) or ({rows}, {dim})"
+            )
     dtype = params.w.dtype
-    h_in = np.empty((true_len, d), dtype=dtype)
-    gates = np.empty((true_len, 4 * d), dtype=dtype)
-    cs = np.empty((true_len + 1, d), dtype=dtype)
-    cs[0] = state.c
+    state = LstmState.zeros(rows, d, dtype=dtype) if init is None else init
+    if state.h.shape != (rows, d):
+        raise ShapeError(
+            f"init state shape {state.h.shape} does not match ({rows}, {d})"
+        )
+    h_in = np.empty((rows, steps, d), dtype=dtype)
+    gates = np.empty((rows, steps, 4 * d), dtype=dtype)
+    cs = np.empty((rows, steps + 1, d), dtype=dtype)
+    cs[:, 0] = state.c
     h = state.h
-    xs = xs[:true_len]
-    xs_in = xs if in_mask is None else xs * in_mask
-    for t in range(true_len):
+    length = xs.shape[1]
+    xs = xs[:, :steps]
+    # U x of every real step at once; padded steps are left at zero
+    real = np.arange(steps) < lengths[:, None]
+    x_in = xs if in_mask is None else xs * _per_step(in_mask)
+    ux = np.zeros((rows, steps, 4 * d), dtype=dtype)
+    ux[real] = _gemv(params.u, x_in[real])
+    for t in range(steps):
+        h_t = h_in[:, t]
         if rec_mask is None:
-            h_in[t] = h
+            h_t[...] = h
         else:
-            np.multiply(h, rec_mask, out=h_in[t])
-        z = params.w @ h_in[t] + params.u @ xs_in[t] + params.b
-        g = gates[t]
-        g[: 3 * d] = sigmoid(z[: 3 * d])
-        g[3 * d :] = np.tanh(z[3 * d :])
-        np.add(g[:d] * cs[t], g[d : 2 * d] * g[3 * d :], out=cs[t + 1])
-        h = g[2 * d : 3 * d] * np.tanh(cs[t + 1])
-    state = LstmState(h, cs[true_len].copy())
+            np.multiply(h, rec_mask, out=h_t)
+        z = _gemv(params.w, h_t)
+        z += ux[:, t]
+        z += params.b
+        g = gates[:, t]
+        sigmoid(z[:, : 3 * d], out=g[:, : 3 * d])
+        np.tanh(z[:, 3 * d :], out=g[:, 3 * d :])
+        c = cs[:, t + 1]
+        np.multiply(g[:, :d], cs[:, t], out=c)
+        c += g[:, d : 2 * d] * g[:, 3 * d :]
+        h_new = np.tanh(c)
+        h_new *= g[:, 2 * d : 3 * d]
+        if t >= shortest:  # before that every row is live
+            live = (t < lengths)[:, None]
+            cs[:, t + 1] = np.where(live, cs[:, t + 1], cs[:, t])
+            h_new = np.where(live, h_new, h)
+        h = h_new
+    state = LstmState(h, cs[:, steps].copy())
     tape = LstmTape(
         d_in=params.d_in,
         d_out=d,
-        true_len=true_len,
+        lengths=lengths,
         length=length,
         xs=xs,
         h_in=h_in,
@@ -242,36 +309,42 @@ def lstm_run_frozen(
     return state, tape
 
 
-def lstm_backward(
+def lstm_run_backward(
     params: LstmParams,
     tape: LstmTape,
     d_h_final: np.ndarray,
     d_c_final: np.ndarray,
 ) -> tuple[LstmParams, np.ndarray, np.ndarray, np.ndarray]:
-    """Exact gradients through a frozen run.
+    """Exact gradients through a run.
 
-    Given dL/dh_final and dL/dc_final, returns (parameter gradients as an
-    LstmParams-shaped container, input gradients of shape (length, d_in)
-    with zero rows for padded steps, dL/dh_0, dL/dc_0).  Frozen steps are
-    identity copies, so the upstream gradients pass through them
-    unchanged and the loop starts at the last real step.
+    Given dL/dh_final and dL/dc_final, each (R, d_out), returns
+    (parameter gradients as an LstmParams-shaped container, input
+    gradients of shape (R, length, d_in) with zero rows at every step past
+    a row's length, dL/dh_0, dL/dc_0).
     """
     dz_steps, dh, dc = lstm_backward_dz(params, tape, d_h_final, d_c_final)
-    input_grads = np.zeros((tape.length, params.d_in), dtype=params.w.dtype)
-    input_grads[: tape.true_len] = dz_steps @ params.u
+    real = tape.real
+    input_grads = np.zeros(
+        (len(tape.lengths), tape.length, params.d_in), dtype=params.w.dtype
+    )
+    run_grads = input_grads[:, : real.shape[1]]
+    run_grads[real] = dz_steps[real] @ params.u
     if tape.in_mask is not None:
-        input_grads[: tape.true_len] *= tape.in_mask
-    return param_gradients(dz_steps, tape.h_in, tape.x_in), input_grads, dh, dc
+        run_grads *= _per_step(tape.in_mask)
+    return param_gradients(dz_steps, tape), input_grads, dh, dc
 
 
-def param_gradients(
-    dz_steps: np.ndarray, h_in: np.ndarray, x_in: np.ndarray
-) -> LstmParams:
-    """Parameter gradients from the preactivation gradients of real steps
-    and the (masked) recurrent and external inputs of the same steps,
-    stacked row-wise; one matrix product per parameter."""
+def param_gradients(dz_steps: np.ndarray, tape: LstmTape) -> LstmParams:
+    """Parameter gradients from the preactivation gradients of a run.
+
+    The real steps of every row are gathered in row-major order (row 0's
+    steps first) with the (masked) recurrent and external inputs of the
+    same steps; one matrix product per parameter sums over all of them.
+    """
+    real = tape.real
+    dz = dz_steps[real]
     return LstmParams(
-        w=dz_steps.T @ h_in, u=dz_steps.T @ x_in, b=dz_steps.sum(axis=0)
+        w=dz.T @ tape.h_in[real], u=dz.T @ tape.x_in[real], b=dz.sum(axis=0)
     )
 
 
@@ -281,50 +354,63 @@ def lstm_backward_dz(
     d_h_final: np.ndarray,
     d_c_final: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Backpropagation through the real steps of a frozen run.
+    """Backpropagation through the real steps of a run, all rows together.
 
-    Returns the gate preactivation gradients dL/dz of every real step as a
-    (true_len, 4*d_out) array in GATE_ORDER, then dL/dh_0 and dL/dc_0.
-    `param_gradients` turns the first into parameter gradients.
+    Returns the gate preactivation gradients dL/dz as an (R, T, 4*d_out)
+    array in GATE_ORDER, zero at frozen steps, then dL/dh_0 and dL/dc_0,
+    each (R, d_out).  `param_gradients` turns the first into parameter
+    gradients.  Frozen steps are identity copies, so a row's upstream
+    gradients pass them unchanged (again by `np.where` copies) and its
+    walk starts at its last real step.  dL/dh goes back through W^T with
+    one gemv per row.
     """
     if tape.d_in != params.d_in or tape.d_out != params.d_out:
         raise ShapeError(
             f"tape dims ({tape.d_in}, {tape.d_out}) do not match params "
             f"({params.d_in}, {params.d_out})"
         )
-    if d_h_final.shape != (params.d_out,) or d_c_final.shape != (params.d_out,):
-        raise ShapeError("upstream gradient shapes must be (d_out,)")
+    rows, steps = tape.gates.shape[:2]
+    shape = (rows, params.d_out)
+    if d_h_final.shape != shape or d_c_final.shape != shape:
+        raise ShapeError(f"upstream gradient shapes must be {shape}")
 
     d = params.d_out
     dtype = params.w.dtype
-    n = tape.true_len
     gates = tape.gates
-    f = gates[:, :d]
-    i = gates[:, d : 2 * d]
-    o = gates[:, 2 * d : 3 * d]
-    c_tilde = gates[:, 3 * d :]
-    tanh_c = np.tanh(tape.c[1:])
+    f = gates[..., :d]
+    i = gates[..., d : 2 * d]
+    o = gates[..., 2 * d : 3 * d]
+    c_tilde = gates[..., 3 * d :]
+    tanh_c = np.tanh(tape.c[:, 1:])
     # local derivatives of every step, taken for all steps at once
     d_c_from_h = o * (1.0 - tanh_c * tanh_c)
-    d_zf = tape.c[:-1] * f * (1.0 - f)
+    d_zf = tape.c[:, :-1] * f * (1.0 - f)
     d_zi = c_tilde * i * (1.0 - i)
     d_zo = tanh_c * o * (1.0 - o)
     d_zc = i * (1.0 - c_tilde * c_tilde)
-    dz_steps = np.empty((n, 4 * d), dtype=dtype)
+    dz_steps = np.empty((rows, steps, 4 * d), dtype=dtype)
     dh = np.asarray(d_h_final, dtype=dtype).copy()
     dc = np.asarray(d_c_final, dtype=dtype).copy()
     w_t = params.w.T
+    shortest = int(tape.lengths.min())
 
-    for t in range(n - 1, -1, -1):
-        dz = dz_steps[t]
-        np.multiply(dh, d_zo[t], out=dz[2 * d : 3 * d])
-        dc = dc + dh * d_c_from_h[t]
-        np.multiply(dc, d_zf[t], out=dz[:d])
-        np.multiply(dc, d_zi[t], out=dz[d : 2 * d])
-        np.multiply(dc, d_zc[t], out=dz[3 * d :])
-        dh = w_t @ dz
+    for t in range(steps - 1, -1, -1):
+        dz = dz_steps[:, t]
+        np.multiply(dh, d_zo[:, t], out=dz[:, 2 * d : 3 * d])
+        dc_t = dh * d_c_from_h[:, t]
+        dc_t += dc
+        np.multiply(dc_t, d_zf[:, t], out=dz[:, :d])
+        np.multiply(dc_t, d_zi[:, t], out=dz[:, d : 2 * d])
+        np.multiply(dc_t, d_zc[:, t], out=dz[:, 3 * d :])
+        dh_t = _gemv(w_t, dz)
         if tape.rec_mask is not None:
-            dh = dh * tape.rec_mask
-        dc = dc * f[t]
+            dh_t *= tape.rec_mask
+        dc_t *= f[:, t]
+        if t >= shortest:  # below that every row is live
+            live = (t < tape.lengths)[:, None]
+            dh_t = np.where(live, dh_t, dh)
+            dc_t = np.where(live, dc_t, dc)
+        dh, dc = dh_t, dc_t
 
+    dz_steps[~tape.real] = 0.0
     return dz_steps, dh, dc

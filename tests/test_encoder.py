@@ -15,7 +15,7 @@ from authverify.gradcheck import (
     compare_grads,
     numeric_gradient,
 )
-from authverify.lstm import LstmParams, lstm_backward
+from authverify.lstm import LstmParams, lstm_run, lstm_run_backward
 from authverify.numeric import ShapeError, make_rng
 from authverify.preprocess import EncodedDocument
 
@@ -209,7 +209,8 @@ class TestEncoderBackward:
             assert not failures, (name, failures[:3])
 
     def test_level1_matches_per_sentence_backward(self):
-        # reference: one lstm_backward per sentence, summed
+        # reference: each sentence run and walked back as a one-row batch,
+        # its gradients summed
         rng = make_rng(11)
         params = EncoderParams(
             LstmParams.init_uniform(3, 4, -0.5, 0.5, rng),
@@ -221,10 +222,18 @@ class TestEncoderBackward:
         _, tape = encode_document_training(params, doc, masks)
         grads = encoder_backward(params, tape, d_xd)
 
-        _, d_sent, _, _ = lstm_backward(params.level2, tape.level2_tape, d_xd, np.zeros(2))
+        _, d_sent, _, _ = lstm_run_backward(
+            params.level2, tape.level2_tape, d_xd[None], np.zeros((1, 2))
+        )
         ref = LstmParams.zeros(3, 4)
-        for k, sent_tape in enumerate(tape.sentence_tapes):
-            g, _, _, _ = lstm_backward(params.level1, sent_tape, d_sent[k], np.zeros(4))
+        for k, n in enumerate(doc.sent_lengths):
+            _, sent_tape = lstm_run(
+                params.level1, doc.words[k : k + 1], [n],
+                in_mask=masks.input1, rec_mask=masks.recurrent1,
+            )
+            g, _, _, _ = lstm_run_backward(
+                params.level1, sent_tape, d_sent[:, k], np.zeros((1, 4))
+            )
             for name, a in g.arrays().items():
                 ref.arrays()[name] += a
         for name, a in grads.level1.arrays().items():

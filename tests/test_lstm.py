@@ -5,8 +5,9 @@ from authverify.gradcheck import check_lstm_config, compare_grads, numeric_gradi
 from authverify.lstm import (
     LstmParams,
     LstmState,
-    lstm_backward,
-    lstm_run_frozen,
+    _gemv,
+    lstm_run,
+    lstm_run_backward,
     sigmoid,
 )
 from authverify.numeric import ShapeError, make_rng
@@ -14,6 +15,13 @@ from authverify.numeric import ShapeError, make_rng
 # 0.5 * tanh(0.5 * tanh(1)), the scalar cell worked out by hand
 SCALAR_H = 0.18169974219452623
 SCALAR_C = 0.3807970779778824
+
+
+def zero_padded(xs, length):
+    """One row (1, length, d) holding `xs` and then zeros."""
+    out = np.zeros((1, length, xs.shape[1]))
+    out[0, : len(xs)] = xs
+    return out
 
 
 class TestSigmoid:
@@ -47,18 +55,17 @@ class TestLstmParams:
 class TestLstmStep:
     def test_all_zero_params_zero_state(self, rng):
         p = LstmParams.zeros(3, 2)
-        out, _ = lstm_run_frozen(p, rng.normal(size=3)[None], 1, 1,
-                                 init=LstmState.zeros(2))
-        np.testing.assert_array_equal(out.h, np.zeros(2))
-        np.testing.assert_array_equal(out.c, np.zeros(2))
+        out, _ = lstm_run(p, rng.normal(size=3)[None, None], [1],
+                          init=LstmState.zeros(1, 2))
+        np.testing.assert_array_equal(out.h[0], np.zeros(2))
+        np.testing.assert_array_equal(out.c[0], np.zeros(2))
 
     def test_scalar_hand_computation(self):
         p = LstmParams.zeros(1, 1)
         p.u[3:] = 1.0  # candidate block
-        out, _ = lstm_run_frozen(p, np.array([1.0])[None], 1, 1,
-                                 init=LstmState.zeros(1))
-        assert out.c[0] == pytest.approx(SCALAR_C, abs=1e-12)
-        assert out.h[0] == pytest.approx(SCALAR_H, abs=1e-12)
+        out, _ = lstm_run(p, np.array([[[1.0]]]), [1], init=LstmState.zeros(1, 1))
+        assert out.c[0, 0] == pytest.approx(SCALAR_C, abs=1e-12)
+        assert out.h[0, 0] == pytest.approx(SCALAR_H, abs=1e-12)
 
     def test_zero_input_zero_state_zero_bias(self, rng):
         p = LstmParams(
@@ -66,71 +73,71 @@ class TestLstmStep:
             u=rng.normal(size=(8, 3)),
             b=np.zeros(8),
         )
-        out, _ = lstm_run_frozen(p, np.zeros(3)[None], 1, 1, init=LstmState.zeros(2))
-        np.testing.assert_array_equal(out.h, np.zeros(2))
+        out, _ = lstm_run(p, np.zeros((1, 1, 3)), [1], init=LstmState.zeros(1, 2))
+        np.testing.assert_array_equal(out.h[0], np.zeros(2))
 
     def test_gate_ranges(self, rng):
         p = LstmParams.init_uniform(3, 4, -0.5, 0.5, rng)
         xs = rng.normal(size=(6, 3))
-        _, tape = lstm_run_frozen(p, xs, 6, 6)
-        sigmoid_gates, c_tilde = tape.gates[:, :12], tape.gates[:, 12:]
+        _, tape = lstm_run(p, xs[None], [6])
+        sigmoid_gates, c_tilde = tape.gates[0, :, :12], tape.gates[0, :, 12:]
         assert np.all(sigmoid_gates > 0.0) and np.all(sigmoid_gates < 1.0)
         assert np.all(np.abs(c_tilde) < 1.0)
-        assert np.all(np.abs(np.tanh(tape.c[1:])) < 1.0)
+        assert np.all(np.abs(np.tanh(tape.c[0, 1:])) < 1.0)
 
     def test_shape_errors(self):
         p = LstmParams.zeros(3, 2)
         with pytest.raises(ShapeError):
-            lstm_run_frozen(p, np.zeros(4)[None], 1, 1, init=LstmState.zeros(2))
+            lstm_run(p, np.zeros((1, 1, 4)), [1], init=LstmState.zeros(1, 2))
         with pytest.raises(ShapeError):
-            lstm_run_frozen(p, np.zeros(3)[None], 1, 1, init=LstmState.zeros(5))
+            lstm_run(p, np.zeros((1, 1, 3)), [1], init=LstmState.zeros(1, 5))
 
 
 class TestLstmRunFrozen:
     def test_full_length_equals_plain_unroll(self, rng):
         p = LstmParams.init_uniform(3, 2, -0.5, 0.5, rng)
         xs = rng.normal(size=(4, 3))
-        state = LstmState.zeros(2)
+        state = LstmState.zeros(1, 2)
         for t in range(4):
-            state, _ = lstm_run_frozen(p, xs[t][None], 1, 1, init=state)
-        final, _ = lstm_run_frozen(p, xs, 4, 4)
+            state, _ = lstm_run(p, xs[None, t : t + 1], [1], init=state)
+        final, _ = lstm_run(p, xs[None], [4])
         np.testing.assert_array_equal(final.h, state.h)
         np.testing.assert_array_equal(final.c, state.c)
 
     def test_frozen_tail_keeps_state(self, rng):
         p = LstmParams.init_uniform(3, 2, -0.5, 0.5, rng)
         xs = rng.normal(size=(5, 3))
-        short, _ = lstm_run_frozen(p, xs[:2], 2, 2)
-        frozen, _ = lstm_run_frozen(p, xs, 2, 5)
+        short, _ = lstm_run(p, xs[None, :2], [2])
+        frozen, _ = lstm_run(p, xs[None], [2])
         np.testing.assert_array_equal(short.h, frozen.h)
         np.testing.assert_array_equal(short.c, frozen.c)
 
     def test_padding_invariance_bitwise(self, rng):
         p = LstmParams.init_uniform(4, 3, -0.5, 0.5, rng)
         xs = rng.normal(size=(3, 4))
-        a, _ = lstm_run_frozen(p, xs, 3, 5)
-        b, _ = lstm_run_frozen(p, xs, 3, 50)
+        a, _ = lstm_run(p, zero_padded(xs, 5), [3])
+        b, _ = lstm_run(p, zero_padded(xs, 50), [3])
         np.testing.assert_array_equal(a.h, b.h)
         np.testing.assert_array_equal(a.c, b.c)
 
     def test_rejects_bad_lengths(self, rng):
         p = LstmParams.zeros(3, 2)
-        xs = np.zeros((4, 3))
+        xs = np.zeros((1, 4, 3))
         with pytest.raises(ValueError):
-            lstm_run_frozen(p, xs, 0, 4)
+            lstm_run(p, xs, [0])
         with pytest.raises(ValueError):
-            lstm_run_frozen(p, xs, 5, 4)
+            lstm_run(p, xs, [5])
         with pytest.raises(ValueError):
-            lstm_run_frozen(p, xs[:1], 3, 4)
+            lstm_run(p, xs[:, :1], [3])
 
 
 class TestLstmBackward:
     def test_zero_upstream_zero_grads(self, rng):
         p = LstmParams.init_uniform(3, 2, -0.5, 0.5, rng)
         xs = rng.normal(size=(4, 3))
-        _, tape = lstm_run_frozen(p, xs, 4, 4)
-        grads, input_grads, dh0, dc0 = lstm_backward(
-            p, tape, np.zeros(2), np.zeros(2)
+        _, tape = lstm_run(p, xs[None], [4])
+        grads, input_grads, dh0, dc0 = lstm_run_backward(
+            p, tape, np.zeros((1, 2)), np.zeros((1, 2))
         )
         for a in grads.arrays().values():
             assert np.all(a == 0.0)
@@ -140,14 +147,14 @@ class TestLstmBackward:
     def test_scalar_cell_finite_difference(self):
         p = LstmParams.zeros(1, 1)
         p.u[3:] = 1.0  # candidate block
-        xs = np.array([[1.0]])
+        xs = np.array([[[1.0]]])
 
         def loss():
-            final, _ = lstm_run_frozen(p, xs, 1, 1)
-            return float(final.h[0])
+            final, _ = lstm_run(p, xs, [1])
+            return float(final.h[0, 0])
 
-        _, tape = lstm_run_frozen(p, xs, 1, 1)
-        grads, _, _, _ = lstm_backward(p, tape, np.ones(1), np.zeros(1))
+        _, tape = lstm_run(p, xs, [1])
+        grads, _, _, _ = lstm_run_backward(p, tape, np.ones((1, 1)), np.zeros((1, 1)))
         for name, target in (("w", p.w), ("u", p.u), ("b", p.b)):
             numeric = numeric_gradient(loss, target)
             analytic = grads.arrays()[name]
@@ -157,15 +164,15 @@ class TestLstmBackward:
     def test_frozen_run_matches_unpadded_gradients(self, rng):
         p = LstmParams.init_uniform(3, 2, -0.5, 0.5, rng)
         xs = rng.normal(size=(5, 3))
-        dh, dc = rng.normal(size=2), rng.normal(size=2)
-        _, tape_short = lstm_run_frozen(p, xs[:2], 2, 2)
-        _, tape_frozen = lstm_run_frozen(p, xs, 2, 5)
-        g_short, in_short, dh0_s, dc0_s = lstm_backward(p, tape_short, dh, dc)
-        g_frozen, in_frozen, dh0_f, dc0_f = lstm_backward(p, tape_frozen, dh, dc)
+        dh, dc = rng.normal(size=(1, 2)), rng.normal(size=(1, 2))
+        _, tape_short = lstm_run(p, xs[None, :2], [2])
+        _, tape_frozen = lstm_run(p, xs[None], [2])
+        g_short, in_short, dh0_s, dc0_s = lstm_run_backward(p, tape_short, dh, dc)
+        g_frozen, in_frozen, dh0_f, dc0_f = lstm_run_backward(p, tape_frozen, dh, dc)
         for a, b in zip(g_short.arrays().values(), g_frozen.arrays().values()):
             np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(in_short, in_frozen[:2])
-        assert np.all(in_frozen[2:] == 0.0)
+        np.testing.assert_array_equal(in_short, in_frozen[:, :2])
+        assert np.all(in_frozen[:, 2:] == 0.0)
         np.testing.assert_array_equal(dh0_s, dh0_f)
         np.testing.assert_array_equal(dc0_s, dc0_f)
 
@@ -176,14 +183,14 @@ class TestLstmBackward:
         xs = rng.normal(size=(7, 4))
         in_mask, rec_mask = rng.uniform(0.5, 1.5, size=4), rng.uniform(0.5, 1.5, size=3)
         dh_final, dc_final = rng.normal(size=3), rng.normal(size=3)
-        _, tape = lstm_run_frozen(p, xs, 5, 7, in_mask=in_mask, rec_mask=rec_mask)
+        _, tape = lstm_run(p, xs[None], [5], in_mask=in_mask, rec_mask=rec_mask)
 
         ref = LstmParams.zeros(4, 3)
         ref_inputs = np.zeros((7, 4))
         dh, dc = dh_final.copy(), dc_final.copy()
         for t in range(4, -1, -1):
-            f, i, o, c_tilde = np.split(tape.gates[t], 4)
-            c_prev, tanh_c = tape.c[t], np.tanh(tape.c[t + 1])
+            f, i, o, c_tilde = np.split(tape.gates[0, t], 4)
+            c_prev, tanh_c = tape.c[0, t], np.tanh(tape.c[0, t + 1])
             do = dh * tanh_c
             dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
             dz = np.concatenate((
@@ -192,26 +199,28 @@ class TestLstmBackward:
                 do * o * (1.0 - o),
                 dc * i * (1.0 - c_tilde * c_tilde),
             ))
-            ref.w += np.outer(dz, tape.h_in[t])
-            ref.u += np.outer(dz, tape.x_in[t])
+            ref.w += np.outer(dz, tape.h_in[0, t])
+            ref.u += np.outer(dz, tape.x_in[0, t])
             ref.b += dz
             ref_inputs[t] = (p.u.T @ dz) * in_mask
             dh = (p.w.T @ dz) * rec_mask
             dc = dc * f
 
-        grads, input_grads, dh0, dc0 = lstm_backward(p, tape, dh_final, dc_final)
+        grads, input_grads, dh0, dc0 = lstm_run_backward(
+            p, tape, dh_final[None], dc_final[None]
+        )
         for name, a in grads.arrays().items():
             np.testing.assert_allclose(a, ref.arrays()[name], rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(input_grads, ref_inputs, rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(dh0, dh, rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(dc0, dc, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(input_grads[0], ref_inputs, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(dh0[0], dh, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(dc0[0], dc, rtol=1e-12, atol=1e-15)
 
     def test_tape_params_mismatch(self, rng):
         p = LstmParams.init_uniform(3, 2, -0.5, 0.5, rng)
         other = LstmParams.zeros(4, 2)
-        _, tape = lstm_run_frozen(p, rng.normal(size=(3, 3)), 3, 3)
+        _, tape = lstm_run(p, rng.normal(size=(1, 3, 3)), [3])
         with pytest.raises(ShapeError):
-            lstm_backward(other, tape, np.zeros(2), np.zeros(2))
+            lstm_run_backward(other, tape, np.zeros((1, 2)), np.zeros((1, 2)))
 
     def test_random_configs_against_finite_differences(self):
         rng = make_rng(2024)
@@ -221,3 +230,87 @@ class TestLstmBackward:
             steps = int(rng.integers(1, 6))
             report = check_lstm_config(d_in, d_out, steps, int(rng.integers(1 << 30)))
             assert report.ok, report.failures[:5]
+
+
+class TestStackedGemv:
+    """The premise of the batched run: `_gemv`'s stacked matmul makes one
+    gemv call per vector, so it gives each vector the bits of `a @ r`
+    computed alone.  A numpy or BLAS upgrade that breaks this would move
+    trained weights."""
+
+    @pytest.mark.parametrize("d_in,d_out", [(20, 10), (10, 5), (300, 150), (150, 75)])
+    def test_matches_one_product_per_row(self, d_in, d_out):
+        rng = make_rng(d_in)
+        p = LstmParams.init_uniform(d_in, d_out, -0.05, 0.05, rng)
+        for a in (p.w, p.u, p.w.T):
+            rows = rng.normal(size=(6, 5, a.shape[1]))
+            one_by_one = np.array([[a @ r for r in block] for block in rows])
+            assert np.array_equal(_gemv(a, rows), one_by_one)
+            # one step of every row, a strided view as in the run's loop
+            step = _gemv(a, rows[:, 2])
+            assert np.array_equal(step, np.array([a @ r for r in rows[:, 2]]))
+
+
+class TestBatchedRun:
+    LENGTHS = [4, 1, 7, 3, 7]
+
+    def make_case(self, rng, per_row_masks):
+        p = LstmParams.init_uniform(3, 4, -0.5, 0.5, rng)
+        rows = len(self.LENGTHS)
+        xs = rng.normal(size=(rows, 9, 3))
+        init = LstmState(rng.normal(size=(rows, 4)), rng.normal(size=(rows, 4)))
+        shape = (rows,) if per_row_masks else ()
+        masks = (rng.uniform(0.5, 1.5, size=shape + (3,)),
+                 rng.uniform(0.5, 1.5, size=shape + (4,)))
+        return p, xs, init, masks
+
+    @staticmethod
+    def one_row(a, r):
+        return a[r : r + 1] if a.ndim == 2 else a
+
+    @pytest.mark.parametrize("per_row_masks", [False, True])
+    def test_rows_match_one_row_runs(self, rng, per_row_masks):
+        p, xs, init, (in_mask, rec_mask) = self.make_case(rng, per_row_masks)
+        final, tape = lstm_run(p, xs, self.LENGTHS, init=init,
+                               in_mask=in_mask, rec_mask=rec_mask)
+        dh, dc = rng.normal(size=(2, len(self.LENGTHS), 4))
+        grads, in_grads, dh0, dc0 = lstm_run_backward(p, tape, dh, dc)
+
+        ref = LstmParams.zeros(3, 4)
+        for r, n in enumerate(self.LENGTHS):
+            one_final, one = lstm_run(
+                p, xs[r : r + 1], [n],
+                init=LstmState(init.h[r : r + 1], init.c[r : r + 1]),
+                in_mask=self.one_row(in_mask, r), rec_mask=self.one_row(rec_mask, r),
+            )
+            np.testing.assert_array_equal(final.h[r], one_final.h[0])
+            np.testing.assert_array_equal(final.c[r], one_final.c[0])
+            np.testing.assert_array_equal(tape.h_in[r, :n], one.h_in[0])
+            np.testing.assert_array_equal(tape.gates[r, :n], one.gates[0])
+            np.testing.assert_array_equal(tape.c[r, : n + 1], one.c[0])
+
+            g, one_in, one_dh0, one_dc0 = lstm_run_backward(
+                p, one, dh[r : r + 1], dc[r : r + 1]
+            )
+            for name, a in g.arrays().items():
+                ref.arrays()[name] += a
+            np.testing.assert_allclose(in_grads[r], one_in[0], rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(dh0[r], one_dh0[0], rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(dc0[r], one_dc0[0], rtol=1e-12, atol=1e-15)
+        for name, a in grads.arrays().items():
+            np.testing.assert_allclose(a, ref.arrays()[name], rtol=1e-12, atol=1e-15)
+
+    def test_three_rows_against_finite_differences(self):
+        report = check_lstm_config(3, 2, (3, 1, 5), seed=17)
+        assert report.ok, report.failures[:5]
+        assert check_lstm_config(2, 3, (2, 2, 4), seed=18).ok
+
+    def test_rejects_mismatched_rows(self, rng):
+        p = LstmParams.zeros(3, 2)
+        xs = rng.normal(size=(2, 4, 3))
+        with pytest.raises(ShapeError):
+            lstm_run(p, xs, [4])
+        with pytest.raises(ShapeError):
+            lstm_run(p, xs, [4, 2], in_mask=np.ones((3, 3)))
+        with pytest.raises(ShapeError):
+            lstm_run(p, xs, [4, 2], rec_mask=np.ones(3))

@@ -10,7 +10,12 @@ Prints one JSON line of sha256 digests:
   `bench_config().updated(max_epochs=2, patience=2)`, seed 42, one
   thread) with its `config` object removed; `cv_config_keys` lists that
   object's keys, the one part expected to change when a config field is
-  added or retired.
+  added or retired;
+- `verify`: `verify_pair` distances on 20 pairs of a 300-d corpus, two
+  known texts joined against the unknown one, under `TrainConfig()`
+  (the paper dims, 300/150/75) with initial weights drawn from seed 0.
+  It covers the BLAS kernels of the paper dims, which the bench dims of
+  the other digests do not reach.
 
 A fit digest covers the parameter bytes, the training log without its
 `seconds` timings, `best_epoch`, `best_dev_accuracy` and `dev_distances`.
@@ -20,7 +25,7 @@ Run it against any source tree and compare the lines:
 
     PYTHONPATH=<tree>/src python tools/fit_digest.py
 
-It takes about a minute and a half on one CPU core.  It is not part of
+It takes about half a minute on one CPU core.  It is not part of
 the test suite.
 """
 
@@ -76,6 +81,24 @@ def fit_digest(instances, table, config) -> str:
     return h.hexdigest()
 
 
+def verify_digest(tmp: str) -> str:
+    instances, table = load_table(
+        tmp, SyntheticSpec(emb_dim=300, n_instances=20, min_known=2, max_known=2),
+        seed=5,
+    )
+    config = av.TrainConfig()
+    params = av.init_encoder_params(
+        config.d_w, config.d_s, config.d_d, config.init_lo, config.init_hi,
+        rng=av.make_rng(0),
+    )
+    model = av.Model(params, config, table)
+    distances = [
+        av.verify_pair(model, "\n".join(x.known_docs), x.unknown_doc).distance
+        for x in instances
+    ]
+    return hashlib.sha256(json.dumps(distances).encode()).hexdigest()
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         instances, table = load_table(tmp, SyntheticSpec(), seed=0)
@@ -94,6 +117,7 @@ def main() -> None:
         out["cv"] = hashlib.sha256(
             json.dumps(payload, sort_keys=True).encode()
         ).hexdigest()
+        out["verify"] = verify_digest(tmp)
     print(json.dumps(out, sort_keys=True))
 
 
