@@ -137,6 +137,13 @@ def _cmd_gradcheck(args) -> int:
     return 0 if worst == 0 else 1
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="authverify",
@@ -178,12 +185,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--threads", type=int, default=1, help="fold-level parallelism")
+    p.add_argument(
+        "--threads", type=_positive_int, default=1, help="fold worker processes"
+    )
     p.add_argument(
         "--deterministic",
         action="store_true",
-        help="force single-threaded execution (reports are seed-deterministic "
-        "either way)",
+        help="run the folds serially in this process (reports are "
+        "seed-deterministic either way)",
     )
     p.add_argument("--out", help="report JSON path; stdout if absent")
     add_common(p)

@@ -306,6 +306,22 @@ def _run_fold(
     )
 
 
+# The fold inputs of one fold worker process: (splits, instances, table,
+# config, fold_seeds).  `_init_fold_worker` sets it in each worker; the
+# parent never does.
+_fold_inputs: tuple
+
+
+def _init_fold_worker(*fold_inputs) -> None:
+    global _fold_inputs
+    _fold_inputs = fold_inputs
+
+
+def _run_worker_fold(i: int) -> FoldResult:
+    splits, instances, table, config, fold_seeds = _fold_inputs
+    return _run_fold(splits[i], instances, table, config, fold_seeds[i])
+
+
 def cross_validate(
     instances: list[VerificationInstance],
     table: EmbeddingTable,
@@ -316,44 +332,49 @@ def cross_validate(
     """k-fold cross-validation: fit on train with dev early stopping, then
     test each fold's held-out instances at the midpoint threshold.
 
-    Every fold derives its own random stream from the config seed, so the
-    report is identical whether folds run sequentially or on a thread
-    pool; folds are aggregated in index order either way.
+    With `threads` > 1 the folds run in min(threads, k) worker processes
+    started by POSIX `fork`, which inherit the inputs rather than receive
+    them pickled; call it from the main thread of a process that can
+    fork.  Every fold derives its own random stream from the config seed,
+    so the report is identical whether folds run serially or in workers;
+    folds are aggregated in index order either way.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     split_rng = make_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(0,)))
     splits = make_cv_splits(len(instances), k=k, rng=split_rng)
     fold_seeds = np.random.SeedSequence(
         entropy=config.seed, spawn_key=(1,)
     ).spawn(k)
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    workers = min(threads, k)
+    if workers > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            folds = list(
-                pool.map(
-                    lambda args: _run_fold(*args),
-                    [
-                        (splits[i], instances, table, config, fold_seeds[i])
-                        for i in range(k)
-                    ],
-                )
-            )
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_init_fold_worker,
+            initargs=(splits, instances, table, config, fold_seeds),
+        ) as pool:
+            folds = list(pool.map(_run_worker_fold, range(k)))
     else:
         folds = [
             _run_fold(splits[i], instances, table, config, fold_seeds[i])
             for i in range(k)
         ]
-    folds.sort(key=lambda f: f.fold_index)
     return CvReport(folds=folds, seed=config.seed, config=config)
 
 
 def verify_pair(model: Model, doc_a: str, doc_b: str) -> PairScore:
     """Full inference pipeline on two raw texts: normalize, segment,
-    tokenize, encode, measure, decide.  Deterministic for a fixed model."""
+    tokenize, encode, measure, decide.  Deterministic for a fixed model.
+    The documents are encoded without their padded rows, which the
+    encoder never reads."""
     caps = (model.config.max_words, model.config.max_sentences)
-    enc_a = encode_document(doc_a, model.table, *caps)
-    enc_b = encode_document(doc_b, model.table, *caps)
+    enc_a = encode_document(doc_a, model.table, *caps, pad=False)
+    enc_b = encode_document(doc_b, model.table, *caps, pad=False)
     x_a = embed_document(model.params, enc_a)
     x_b = embed_document(model.params, enc_b)
     return decide(distance(x_a, x_b), model.thresholds)

@@ -293,13 +293,20 @@ def encode_document(
     table: EmbeddingTable,
     max_words: int,
     max_sentences: int,
+    *,
+    pad: bool = True,
 ) -> EncodedDocument:
     """Normalize, segment, tokenize, and resolve a document to its padded
     tensor of word vectors.
 
     Keeps the first max_sentences sentences and the first max_words
     tokens of each; the output shape is always exactly
-    (max_sentences, max_words, table.dim).
+    (max_sentences, max_words, table.dim).  With pad=False the tensor
+    holds only the real sentence rows, (num_sentences, max_words,
+    table.dim): every row the encoder reads, with the same values.  At
+    the paper's dims a padded tensor is 9.7 MB, which numpy asks the
+    kernel to back with 2 MB huge pages when it can, so the resident
+    size of a padded document depends on the host's free huge pages.
     """
     if max_words < 1 or max_sentences < 1:
         raise ValueError("max_words and max_sentences must be >= 1")
@@ -307,7 +314,8 @@ def encode_document(
     if not sentences:
         raise EmptyDocumentError("empty document")
     sentences = sentences[:max_sentences]
-    words = np.zeros((max_sentences, max_words, table.dim))
+    rows = max_sentences if pad else len(sentences)
+    words = np.zeros((rows, max_words, table.dim))
     lengths = np.zeros(len(sentences), dtype=np.int64)
     oov = np.zeros(len(sentences), dtype=np.int64)
     for k, sentence in enumerate(sentences):

@@ -148,6 +148,21 @@ class TestCrossValidateCommand:
         assert report["num_folds"] == 3
         assert len(report["folds"]) == 3
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_rejected(self, workspace, threads, capsys):
+        root, corpus, emb = workspace
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "cross-validate",
+                    "--corpus", str(corpus),
+                    "--embeddings", str(emb),
+                    "--threads", threads,
+                ]
+            )
+        assert exc.value.code == 2
+        assert "--threads: must be at least 1" in capsys.readouterr().err
+
 
 class TestEntryPoint:
     def test_module_invocation(self):

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 from collections import Counter
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 import authverify.train
 from authverify.embeddings import EmbeddingTable
+from authverify.encoder import encode_document as embed_document
 from authverify.encoder import init_encoder_params
 from authverify.evaluate import (
     ConfusionCounts,
@@ -22,9 +24,9 @@ from authverify.evaluate import (
     verify_pair,
 )
 from authverify.numeric import ShapeError, make_rng
-from authverify.preprocess import VerificationInstance
+from authverify.preprocess import EmptyDocumentError, VerificationInstance
 from authverify.preprocess import encode_document as encode_text
-from authverify.siamese import SAME_AUTHOR, Thresholds
+from authverify.siamese import SAME_AUTHOR, Thresholds, distance
 from authverify.train import EncodedPair, TrainConfig
 
 from test_encoder import random_doc
@@ -182,6 +184,16 @@ class TestVerifyPair:
         s2 = verify_pair(model, a, b)
         assert s1 == s2
 
+    def test_matches_padded_encoding_bit_for_bit(self):
+        model = self.make_model()
+        a, b = "W1 w2 w3. W4 w5.", "W9 w8. W7 w6 w5. W1."
+        caps = (model.config.max_words, model.config.max_sentences)
+        x_a, x_b = (
+            embed_document(model.params, encode_text(t, model.table, *caps))
+            for t in (a, b)
+        )
+        assert verify_pair(model, a, b).distance == distance(x_a, x_b)
+
     def test_empty_document_propagates(self):
         model = self.make_model()
         with pytest.raises(ValueError, match="empty document"):
@@ -255,11 +267,28 @@ class TestCrossValidate:
         assert Counter(calls) == Counter({t: 4 * n for t, n in texts.items()})
 
     def test_threaded_matches_sequential(self):
-        seq = cross_validate(small_corpus(), word_table(), quick_cv_config(), k=4)
-        par = cross_validate(
-            small_corpus(), word_table(), quick_cv_config(), k=4, threads=3
-        )
-        assert seq.to_json() == par.to_json()
+        # (2, 8): more workers asked for than there are folds
+        for k, threads in ((4, 3), (2, 8)):
+            seq = cross_validate(small_corpus(), word_table(), quick_cv_config(), k=k)
+            par = cross_validate(
+                small_corpus(), word_table(), quick_cv_config(), k=k, threads=threads
+            )
+            assert seq.to_json() == par.to_json()
+            assert multiprocessing.active_children() == []
+
+    def test_failed_fold_reraises_and_leaves_no_worker(self):
+        corpus = small_corpus()
+        corpus[5] = VerificationInstance(corpus[5].known_docs, "", corpus[5].label)
+        with pytest.raises(EmptyDocumentError):
+            cross_validate(corpus, word_table(), quick_cv_config(), k=4, threads=2)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_rejected(self, threads):
+        with pytest.raises(ValueError, match="threads"):
+            cross_validate(
+                small_corpus(), word_table(), quick_cv_config(), k=4, threads=threads
+            )
 
 
 class TestCvReportAggregation:

@@ -216,6 +216,17 @@ class TestEncodeDocument:
         assert enc.oov_count == 1
         assert enc.token_count == 4
 
+    def test_unpadded_holds_the_real_rows(self, tiny_table):
+        for doc in ("Cat.", "The zebra sat. The mat.", " ".join(["The cat sat."] * 12)):
+            padded = encode_document(doc, tiny_table, 3, 9)
+            tight = encode_document(doc, tiny_table, 3, 9, pad=False)
+            n = padded.num_sentences
+            assert tight.words.shape == (n, 3, 3)
+            np.testing.assert_array_equal(tight.words, padded.words[:n])
+            assert tight.num_sentences == n
+            np.testing.assert_array_equal(tight.sent_lengths, padded.sent_lengths)
+            np.testing.assert_array_equal(tight.sent_oov, padded.sent_oov)
+
 
 class TestEncodeDocumentThreads:
     def test_oov_counts_per_document_across_threads(self, tiny_table):

@@ -7,10 +7,12 @@ Prints one JSON line of sha256 digests:
   `bench_config(7).updated(max_epochs=3)`;
 - `fit_paper_loss`: the same with `in_batch_weight=0, max_epochs=2`;
 - `cv`: criterion 7's `cross_validate` report (its corpus,
-  `bench_config().updated(max_epochs=2, patience=2)`, seed 42, one
-  thread) with its `config` object removed; `cv_config_keys` lists that
+  `bench_config().updated(max_epochs=2, patience=2)`, seed 42,
+  `threads=1`) with its `config` object removed; `cv_config_keys` lists that
   object's keys, the one part expected to change when a config field is
-  added or retired;
+  added or retired.  The same report is also built with `threads=2`,
+  and the script exits non-zero if the fold worker processes give a
+  different report;
 - `verify`: `verify_pair` distances on 20 pairs of a 300-d corpus, two
   known texts joined against the unknown one, under `TrainConfig()`
   (the paper dims, 300/150/75) with initial weights drawn from seed 0.
@@ -25,8 +27,8 @@ Run it against any source tree and compare the lines:
 
     PYTHONPATH=<tree>/src python tools/fit_digest.py
 
-It takes about half a minute on one CPU core.  It is not part of
-the test suite.
+It takes about 35 s on a 2-CPU host.  It is not part of the test
+suite.
 """
 
 from __future__ import annotations
@@ -112,6 +114,9 @@ def main() -> None:
         instances, table = load_table(tmp, SyntheticSpec(n_instances=120), seed=11)
         cv_config = bench_config().updated(max_epochs=2, patience=2, seed=42)
         report = av.cross_validate(instances, table, cv_config, k=10, threads=1)
+        pooled = av.cross_validate(instances, table, cv_config, k=10, threads=2)
+        if pooled.to_json() != report.to_json():
+            sys.exit("cross_validate(threads=2) differs from threads=1")
         payload = report.to_json_dict()
         out["cv_config_keys"] = sorted(payload.pop("config"))
         out["cv"] = hashlib.sha256(
