@@ -11,6 +11,7 @@ from .embeddings import EmbeddingTable, load_embeddings
 from .encoder import (
     DropoutMasks,
     EncoderParams,
+    embed_documents,
     encode_document_training,
     encoder_backward,
     init_encoder_params,
@@ -38,6 +39,7 @@ from .lstm import (
     LstmTape,
     lstm_run,
     lstm_run_backward,
+    lstm_run_final,
 )
 from .numeric import (
     ShapeError,

@@ -137,11 +137,16 @@ def _cmd_gradcheck(args) -> int:
     return 0 if worst == 0 else 1
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than `low`."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -184,9 +189,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cross-validate", help="k-fold cross-validation report")
     p.add_argument("--corpus", required=True)
     p.add_argument("--embeddings", required=True)
-    p.add_argument("--folds", type=int, default=10)
+    p.add_argument("--folds", type=_int_at_least(2), default=10)
     p.add_argument(
-        "--threads", type=_positive_int, default=1, help="fold worker processes"
+        "--threads", type=_int_at_least(1), default=1, help="fold worker processes"
     )
     p.add_argument(
         "--deterministic",

@@ -1,16 +1,22 @@
 """Two-level document encoder.
 
 Level 1 maps each sentence's word vectors to a sentence embedding (the
-word LSTM's final hidden state under freezing); level 2 runs over the
-sentence embeddings and its final hidden state is the document embedding.
-Both levels start from zero states and call `lstm_run`: level 1 runs
-every sentence of a document together, one row per sentence, for as many
-steps as the longest sentence has words; level 2 runs the document as one
-row.  A sentence past its length is frozen by exact copies, and each
-row's matrix-vector products are separate gemv calls, so a sentence gets
-the bits it would get encoded alone.  Variational dropout masks, when
-given, multiply the input and recurrent activations at every step of a
-sequence; one level-1 mask pair is shared by all sentences of a document.
+word LSTM's final hidden state); level 2 runs over the sentence
+embeddings and its final hidden state is the document embedding.  Both
+levels start from zero states, and each is one run of many rows.
+
+There are two ways through, and both give every document the bits it
+would get encoded alone, since each row's matrix-vector products are
+separate gemv calls.  `encode_document_training` keeps a tape for
+`encoder_backward`: it calls `lstm_run` with one row per sentence of the
+document at level 1 and the document as one row at level 2.
+`embed_documents` keeps no tape: it embeds a whole list of documents in
+two `lstm_run_final` calls, one row per sentence of every document at
+level 1 and one row per document at level 2; every embedding that needs
+no gradient goes through it, `encode_document` included.  Variational
+dropout masks, when given, multiply the input and recurrent activations
+at every step of a sequence; one level-1 mask pair is shared by all
+sentences of a document.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from .lstm import (
     lstm_backward_dz,
     lstm_run,
     lstm_run_backward,
+    lstm_run_final,
     param_gradients,
 )
 from .numeric import ShapeError
@@ -36,6 +43,7 @@ __all__ = [
     "DocumentTape",
     "init_encoder_params",
     "sample_dropout_masks",
+    "embed_documents",
     "encode_document",
     "encode_document_training",
     "encoder_backward",
@@ -189,14 +197,55 @@ def encode_document_training(
     return final.h[0], DocumentTape(level1_tape, sent_embeddings, level2_tape)
 
 
+def embed_documents(
+    params: EncoderParams,
+    docs: list[EncodedDocument],
+    masks: list[DropoutMasks] | None = None,
+) -> np.ndarray:
+    """Embeddings (len(docs), d_d) of documents, in order and without a
+    tape; row j equals `encode_document_training(params, docs[j],
+    masks[j])[0]` bit for bit.
+
+    Level 1 is one run with a row per sentence of every document, its
+    input the real word vectors gathered into one (tokens, d_w) array;
+    level 2 is one run with a row per document.  `masks`, one
+    DropoutMasks per document, become per-row masks of both runs.
+    """
+    if not docs:
+        return np.empty((0, params.d_d))
+    counts = np.array([doc.num_sentences for doc in docs])
+    lengths = np.concatenate([doc.sent_lengths for doc in docs])
+    words = np.empty((lengths.sum(), params.d_w))
+    start = 0
+    for doc in docs:
+        real = np.arange(doc.words.shape[1]) < doc.sent_lengths[:, None]
+        stop = start + doc.token_count
+        words[start:stop] = doc.words[: doc.num_sentences][real]
+        start = stop
+    if masks is None:
+        level1_masks = level2_masks = (None, None)
+    else:
+        level1_masks = (
+            np.repeat(np.stack([m.input1 for m in masks]), counts, axis=0),
+            np.repeat(np.stack([m.recurrent1 for m in masks]), counts, axis=0),
+        )
+        level2_masks = (
+            np.stack([m.input2 for m in masks]),
+            np.stack([m.recurrent2 for m in masks]),
+        )
+    # the sentence embeddings, document after document, are level 2's steps
+    sent_embeddings = lstm_run_final(params.level1, words, lengths, *level1_masks)
+    return lstm_run_final(params.level2, sent_embeddings, counts, *level2_masks)
+
+
 def encode_document(
     params: EncoderParams,
     doc: EncodedDocument,
     masks: DropoutMasks | None = None,
 ) -> np.ndarray:
-    """Document embedding; without masks this is deterministic inference."""
-    x_d, _ = encode_document_training(params, doc, masks)
-    return x_d
+    """Document embedding by `embed_documents`; without masks this is
+    deterministic inference."""
+    return embed_documents(params, [doc], None if masks is None else [masks])[0]
 
 
 def encoder_backward(

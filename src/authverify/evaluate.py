@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embeddings import EmbeddingTable
-from .encoder import EncoderParams
-from .encoder import encode_document as embed_document
+from .encoder import EncoderParams, embed_documents
 from .lstm import LstmParams
 from .numeric import ShapeError, make_rng
 from .preprocess import VerificationInstance, encode_document
@@ -371,10 +370,9 @@ def verify_pair(model: Model, doc_a: str, doc_b: str) -> PairScore:
     """Full inference pipeline on two raw texts: normalize, segment,
     tokenize, encode, measure, decide.  Deterministic for a fixed model.
     The documents are encoded without their padded rows, which the
-    encoder never reads."""
+    encoder never reads, and embedded together in one call."""
     caps = (model.config.max_words, model.config.max_sentences)
     enc_a = encode_document(doc_a, model.table, *caps, pad=False)
     enc_b = encode_document(doc_b, model.table, *caps, pad=False)
-    x_a = embed_document(model.params, enc_a)
-    x_b = embed_document(model.params, enc_b)
+    x_a, x_b = embed_documents(model.params, [enc_a, enc_b])
     return decide(distance(x_a, x_b), model.thresholds)

@@ -12,20 +12,28 @@ k*d .. (k+1)*d of each array; that is the only parameter layout.
 
 Rows run together
 -----------------
-`lstm_run` is the one forward pass: it steps R sequences (rows) of
-different lengths together, and one sequence is a run of one row.  Every
-matrix-vector product is its own gemv call, made for all rows by one
-stacked matmul, so a row gets the bits it would get running alone; a
-GEMM over the rows would sum in another order.  `lstm_backward_dz` walks
-the same rows back together, one W^T gemv per row and step.
+There are two forward runs, and each steps R sequences (rows) of
+different lengths together; one sequence is a run of one row.
+`lstm_run` keeps a tape, the record `lstm_backward_dz` walks back
+through, so training's per-pair pass uses it.  `lstm_run_final` keeps
+no tape and returns only the final hidden states: it serves every
+embedding that needs no gradient (in-batch negatives, evaluation,
+inference).  Both compute the same numpy expressions in the same order,
+and every matrix-vector product is its own gemv call, made for all rows
+by one stacked matmul, so a row gets the bits it would get running
+alone, in either run; a GEMM over the rows would sum in another order.
+`lstm_backward_dz` walks the rows back together, one W^T gemv per row
+and step.
 
 State freezing
 --------------
 A row shorter than the run keeps hidden and memory state fixed once its
-length is reached.  The frozen steps are exact copies made by `np.where`,
-not multiplications by a mask, so the final state after freezing is
-bit-identical to the state after the last real step; gradients flow
-through the copies untouched, and gradients for padded inputs are zero.
+length is reached.  In `lstm_run` the frozen steps are exact copies made
+by `np.where`, not multiplications by a mask, so the final state after
+freezing is bit-identical to the state after the last real step;
+gradients flow through the copies untouched, and gradients for padded
+inputs are zero.  `lstm_run_final` sorts the rows by length and steps
+only the prefix of rows still live, so a finished row is never touched.
 """
 
 from __future__ import annotations
@@ -43,6 +51,7 @@ __all__ = [
     "LstmTape",
     "sigmoid",
     "lstm_run",
+    "lstm_run_final",
     "lstm_run_backward",
     "lstm_backward_dz",
     "param_gradients",
@@ -204,6 +213,30 @@ def _gemv(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.matmul(a, rows[..., None])[..., 0]
 
 
+def _check_run(
+    params: LstmParams,
+    rows: int,
+    lengths: np.ndarray | list[int],
+    in_mask: np.ndarray | None,
+    rec_mask: np.ndarray | None,
+) -> np.ndarray:
+    """The lengths of a run of `rows` rows as an array, once the lengths
+    and masks have the shapes of such a run."""
+    lengths = np.asarray(lengths)
+    if lengths.shape != (rows,):
+        raise ShapeError(f"lengths shape {lengths.shape} must be ({rows},)")
+    if rows == 0 or lengths.min() < 1:
+        raise ValueError("a run requires at least one row, each of length >= 1")
+    for name, mask, dim in (
+        ("in_mask", in_mask, params.d_in), ("rec_mask", rec_mask, params.d_out)
+    ):
+        if mask is not None and mask.shape not in ((dim,), (rows, dim)):
+            raise ShapeError(
+                f"{name} shape {mask.shape} must be ({dim},) or ({rows}, {dim})"
+            )
+    return lengths
+
+
 def lstm_run(
     params: LstmParams,
     xs: np.ndarray,
@@ -237,22 +270,11 @@ def lstm_run(
             f"xs shape {xs.shape} does not match (rows, steps, d_in={params.d_in})"
         )
     rows = xs.shape[0]
-    lengths = np.asarray(lengths)
-    if lengths.shape != (rows,):
-        raise ShapeError(f"lengths shape {lengths.shape} must be ({rows},)")
-    if rows == 0 or lengths.min() < 1:
-        raise ValueError("lstm_run requires at least one row, each of length >= 1")
+    lengths = _check_run(params, rows, lengths, in_mask, rec_mask)
     shortest, steps = int(lengths.min()), int(lengths.max())
     if steps > xs.shape[1]:
         raise ValueError(f"row length {steps} exceeds the {xs.shape[1]} steps of xs")
     d = params.d_out
-    for name, mask, dim in (
-        ("in_mask", in_mask, params.d_in), ("rec_mask", rec_mask, d)
-    ):
-        if mask is not None and mask.shape not in ((dim,), (rows, dim)):
-            raise ShapeError(
-                f"{name} shape {mask.shape} must be ({dim},) or ({rows}, {dim})"
-            )
     dtype = params.w.dtype
     state = LstmState.zeros(rows, d, dtype=dtype) if init is None else init
     if state.h.shape != (rows, d):
@@ -307,6 +329,67 @@ def lstm_run(
         rec_mask=rec_mask,
     )
     return state, tape
+
+
+def lstm_run_final(
+    params: LstmParams,
+    xs: np.ndarray,
+    lengths: np.ndarray | list[int],
+    in_mask: np.ndarray | None = None,
+    rec_mask: np.ndarray | None = None,
+) -> np.ndarray:
+    """The final hidden states (R, d_out) of `lstm_run` from zero states,
+    bit for bit, without a tape.
+
+    `xs` holds only the real steps, row after row: (sum(lengths), d_in),
+    the rows of `lstm_run`'s input `xs[np.arange(T) < lengths[:, None]]`.
+    Rows may come in any order; masks are those of `lstm_run`.  The rows
+    are stepped in order of non-increasing length, so the rows still live
+    at step t are a prefix of them, and step t computes that prefix alone:
+    the same expressions as `lstm_run` in the same order, with one gemv
+    per row for U x as well as for W h.  A row's state is left as it is
+    once its length is reached, which needs no copy, and nothing of the
+    shape (R, T, .) is allocated.
+    """
+    lengths = _check_run(params, len(lengths), lengths, in_mask, rec_mask)
+    xs = np.asarray(xs)
+    if xs.shape != (lengths.sum(), params.d_in):
+        raise ShapeError(
+            f"xs shape {xs.shape} must be (sum of lengths, d_in) = "
+            f"({lengths.sum()}, {params.d_in})"
+        )
+    order = np.argsort(-lengths, kind="stable")
+    # where each row's steps start in xs, in stepping order
+    starts = (np.cumsum(lengths) - lengths)[order]
+    # live[t]: rows still running at step t, a prefix of `order`
+    live = np.count_nonzero(lengths > np.arange(lengths.max())[:, None], axis=1)
+    # masks as (1, d) or sorted (R, d), so [:k] selects those of the live rows
+    in_mask, rec_mask = (
+        None if m is None else m[None] if m.ndim == 1 else m[order]
+        for m in (in_mask, rec_mask)
+    )
+    d = params.d_out
+    h = np.zeros((len(order), d), dtype=params.w.dtype)
+    c = np.zeros_like(h)
+    for t, k in enumerate(live):
+        h_t = h[:k] if rec_mask is None else h[:k] * rec_mask[:k]
+        x_t = xs[starts[:k] + t]
+        if in_mask is not None:
+            x_t *= in_mask[:k]
+        z = _gemv(params.w, h_t)
+        z += _gemv(params.u, x_t)
+        z += params.b
+        g = z  # the gates overwrite their preactivations
+        sigmoid(z[:, : 3 * d], out=g[:, : 3 * d])
+        np.tanh(z[:, 3 * d :], out=g[:, 3 * d :])
+        c_t = c[:k]
+        np.multiply(g[:, :d], c_t, out=c_t)
+        c_t += g[:, d : 2 * d] * g[:, 3 * d :]
+        h_t = np.tanh(c_t, out=h[:k])
+        h_t *= g[:, 2 * d : 3 * d]
+    out = np.empty_like(h)
+    out[order] = h
+    return out
 
 
 def lstm_run_backward(

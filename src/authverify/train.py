@@ -23,12 +23,12 @@ import numpy as np
 from .embeddings import EmbeddingTable
 from .encoder import (
     EncoderParams,
+    embed_documents,
     encode_document_training,
     encoder_backward,
     init_encoder_params,
     sample_dropout_masks,
 )
-from .encoder import encode_document as embed_document
 from .numeric import ShapeError, clip_by_global_norm, make_rng
 from .preprocess import (
     EmptyDocumentError,
@@ -112,8 +112,10 @@ class TrainConfig:
             raise ValueError("clip_norm must be positive")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0, 1)")
-        if not self.tau1 < self.tau2:
-            raise ValueError("tau1 < tau2 required")
+        if not 0.0 <= self.tau1 < self.tau2:
+            raise ValueError("0 <= tau1 < tau2 required")
+        if not self.init_lo < self.init_hi:
+            raise ValueError("init_lo < init_hi required")
         if not self.in_batch_weight >= 0.0:
             raise ValueError("in_batch_weight must be >= 0")
 
@@ -232,20 +234,18 @@ def batch_gradients(
     thresholds = config.thresholds
     n = len(batch)
     docs = [doc for pair in batch for doc in (pair.known, pair.unknown)]
-    masks = [
-        sample_dropout_masks(dims, config.dropout_rate, rng)
+    masks = (
+        [sample_dropout_masks(dims, config.dropout_rate, rng) for _ in docs]
         if config.dropout_rate > 0.0 else None
-        for _ in docs
-    ]
+    )
+    pair_masks = masks or [None] * len(docs)
     cross_loss = 0.0
     cross_grad = None
     if config.in_batch_weight > 0.0:
         # The in-batch term needs every embedding before any backward pass.
-        # Their forward records are dropped here and each pair is encoded
-        # again below, so a step holds two documents' records, not 2B.
-        embeddings = np.stack([
-            encode_document_training(params, doc, m)[0] for doc, m in zip(docs, masks)
-        ])
+        # They come from one pass that keeps no tape, and each pair is
+        # encoded again below, so a step holds two documents' tapes, not 2B.
+        embeddings = embed_documents(params, docs, masks)
         cross_loss, cross_grad = in_batch_negative_loss(
             embeddings, np.repeat(np.arange(n), 2), thresholds
         )
@@ -255,8 +255,10 @@ def batch_gradients(
     total = EncoderParams.zeros(*dims)
     loss_sum = 0.0
     for k, pair in enumerate(batch):
-        x1, tape1 = encode_document_training(params, docs[2 * k], masks[2 * k])
-        x2, tape2 = encode_document_training(params, docs[2 * k + 1], masks[2 * k + 1])
+        x1, tape1 = encode_document_training(params, docs[2 * k], pair_masks[2 * k])
+        x2, tape2 = encode_document_training(
+            params, docs[2 * k + 1], pair_masks[2 * k + 1]
+        )
         loss_sum += contrastive_loss(x1, x2, pair.label, thresholds)
         g1, g2 = contrastive_loss_grad(x1, x2, pair.label, thresholds)
         if cross_grad is not None:
@@ -388,14 +390,23 @@ def encode_instance(
     return EncodedPair(join_encoded(known), unknown, inst.label)
 
 
+# Pairs embedded together by `pair_distances`: one batch of the default
+# config, so scoring a large set holds no more at once than the in-batch
+# pass of a training step (`embed_documents` copies the real word vectors
+# of every document it is given).
+EVAL_CHUNK_PAIRS = 32
+
+
 def pair_distances(
     params: EncoderParams, pairs: list[EncodedPair]
 ) -> tuple[list[float], list[int]]:
-    """Embedding distance and label for every pair, in order."""
-    distances = [
-        distance(embed_document(params, p.known), embed_document(params, p.unknown))
-        for p in pairs
-    ]
+    """Embedding distance and label for every pair, in order; each chunk
+    of EVAL_CHUNK_PAIRS pairs is embedded in one `embed_documents` call."""
+    distances = []
+    for lo in range(0, len(pairs), EVAL_CHUNK_PAIRS):
+        chunk = pairs[lo : lo + EVAL_CHUNK_PAIRS]
+        x = embed_documents(params, [doc for p in chunk for doc in (p.known, p.unknown)])
+        distances += [distance(x[2 * k], x[2 * k + 1]) for k in range(len(chunk))]
     return distances, [p.label for p in pairs]
 
 

@@ -164,6 +164,23 @@ class TestCrossValidateCommand:
         assert "--threads: must be at least 1" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("folds", ["1", "0"])
+    def test_folds_below_two_rejected(self, workspace, folds, capsys):
+        root, corpus, emb = workspace
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "cross-validate",
+                    "--corpus", str(corpus),
+                    "--embeddings", str(emb),
+                    "--config", str(fast_config(root)),
+                    "--folds", folds,
+                ]
+            )
+        assert exc.value.code == 2
+        assert "--folds: must be at least 2" in capsys.readouterr().err
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(

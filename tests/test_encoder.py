@@ -4,6 +4,7 @@ import pytest
 from authverify.encoder import (
     DropoutMasks,
     EncoderParams,
+    embed_documents,
     encode_document,
     encode_document_training,
     encoder_backward,
@@ -108,6 +109,42 @@ class TestEncodeDocument:
         x_d, tape = encode_document_training(params, doc)
         assert x_d.shape == (2,)
         assert tape.sentence_embeddings.shape == (1, 3)
+
+
+class TestEmbedDocuments:
+    def mixed_docs(self, rng, d_w):
+        """Different sentence counts, a one-sentence document, and tight
+        and padded word axes (criterion 3's shapes) in one list."""
+        docs = [
+            random_doc(rng, d_w, lengths, max(lengths), len(lengths))
+            for lengths in ([3, 1, 4], [2], [5, 5, 1, 2, 7, 3], [1, 1])
+        ]
+        padded = random_doc(rng, d_w, [2, 6, 4], max_words=33, max_sentences=123)
+        return docs[:2] + [padded] + docs[2:] + [docs[1]]
+
+    @pytest.mark.parametrize("with_masks", [False, True])
+    def test_rows_match_encode_document_training(self, with_masks):
+        rng = make_rng(31)
+        dims = (20, 10, 5)
+        params = init_encoder_params(*dims, rng=rng)
+        docs = self.mixed_docs(rng, dims[0])
+        masks = (
+            [sample_dropout_masks(dims, 0.3, rng) for _ in docs]
+            if with_masks else None
+        )
+        x = embed_documents(params, docs, masks)
+        assert x.shape == (len(docs), dims[2])
+        for j, doc in enumerate(docs):
+            ref, _ = encode_document_training(
+                params, doc, masks[j] if with_masks else None
+            )
+            assert np.array_equal(x[j], ref), j
+        if with_masks:
+            assert np.array_equal(encode_document(params, docs[2], masks[2]), x[2])
+
+    def test_no_documents(self, rng):
+        params = init_encoder_params(4, 3, 2, rng=rng)
+        assert embed_documents(params, []).shape == (0, 2)
 
 
 class TestSampleDropoutMasks:

@@ -8,6 +8,7 @@ from authverify.lstm import (
     _gemv,
     lstm_run,
     lstm_run_backward,
+    lstm_run_final,
     sigmoid,
 )
 from authverify.numeric import ShapeError, make_rng
@@ -300,6 +301,29 @@ class TestBatchedRun:
         for name, a in grads.arrays().items():
             np.testing.assert_allclose(a, ref.arrays()[name], rtol=1e-12, atol=1e-15)
 
+    @pytest.mark.parametrize("d_in,d_out", [(20, 10), (300, 150)])
+    @pytest.mark.parametrize("lengths", [
+        LENGTHS,  # any order, ties, a length-1 row
+        [6, 6, 6],  # every row live at every step
+        [1, 1],
+        [2, 9, 1, 5, 1, 9, 3],
+    ])
+    @pytest.mark.parametrize("masks", ["none", "shared", "per_row"])
+    def test_tape_free_run_matches_lstm_run(self, d_in, d_out, lengths, masks):
+        rng = make_rng(d_in + len(lengths))
+        p = LstmParams.init_uniform(d_in, d_out, -0.05, 0.05, rng)
+        rows = len(lengths)
+        xs = rng.normal(size=(rows, max(lengths) + 2, d_in))
+        shape = {"none": None, "shared": (), "per_row": (rows,)}[masks]
+        in_mask, rec_mask = (
+            None if shape is None else rng.uniform(0.5, 1.5, size=shape + (dim,))
+            for dim in (d_in, d_out)
+        )
+        final, _ = lstm_run(p, xs, lengths, in_mask=in_mask, rec_mask=rec_mask)
+        real_steps = xs[np.arange(xs.shape[1]) < np.array(lengths)[:, None]]
+        h = lstm_run_final(p, real_steps, lengths, in_mask=in_mask, rec_mask=rec_mask)
+        assert np.array_equal(h, final.h)
+
     def test_three_rows_against_finite_differences(self):
         report = check_lstm_config(3, 2, (3, 1, 5), seed=17)
         assert report.ok, report.failures[:5]
@@ -314,3 +338,14 @@ class TestBatchedRun:
             lstm_run(p, xs, [4, 2], in_mask=np.ones((3, 3)))
         with pytest.raises(ShapeError):
             lstm_run(p, xs, [4, 2], rec_mask=np.ones(3))
+        with pytest.raises(ShapeError):
+            lstm_run(p, xs, [4, 2], in_mask=np.ones((1, 3)))
+        steps = rng.normal(size=(6, 3))
+        with pytest.raises(ShapeError):
+            lstm_run_final(p, steps, [4, 2], in_mask=np.ones((1, 3)))
+        with pytest.raises(ShapeError):
+            lstm_run_final(p, steps, [4, 3])
+        with pytest.raises(ShapeError):
+            lstm_run_final(p, xs, [4, 2])
+        with pytest.raises(ValueError):
+            lstm_run_final(p, steps, [6, 0])

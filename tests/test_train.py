@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import authverify.encoder
 import authverify.train
 from authverify.embeddings import EmbeddingTable
 from authverify.encoder import (
@@ -18,7 +19,12 @@ from authverify.lstm import LstmParams
 from authverify.numeric import clip_by_global_norm, make_rng
 from authverify.preprocess import EmptyDocumentError, VerificationInstance
 from authverify.preprocess import encode_document as encode_text
-from authverify.siamese import Thresholds, contrastive_loss, contrastive_loss_grad
+from authverify.siamese import (
+    Thresholds,
+    contrastive_loss,
+    contrastive_loss_grad,
+    distance,
+)
 from authverify.train import (
     AdadeltaState,
     EncodedPair,
@@ -139,6 +145,20 @@ class TestTrainConfig:
             tiny_config(dropout_rate=1.0)
         with pytest.raises(ValueError):
             tiny_config(batch_size=0)
+
+    @pytest.mark.parametrize("lo,hi", [(0.05, 0.05), (0.05, -0.05)])
+    def test_init_range_must_be_ordered(self, lo, hi):
+        with pytest.raises(ValueError, match="init_lo < init_hi"):
+            tiny_config(init_lo=lo, init_hi=hi)
+        with pytest.raises(ValueError, match="init_lo < init_hi"):
+            TrainConfig.from_dict(dict(TrainConfig().to_dict(), init_lo=lo, init_hi=hi))
+
+    def test_tau1_must_be_non_negative(self):
+        with pytest.raises(ValueError, match="0 <= tau1"):
+            tiny_config(tau1=-0.5)
+        with pytest.raises(ValueError, match="0 <= tau1"):
+            TrainConfig.from_dict(dict(TrainConfig().to_dict(), tau1=-0.5))
+        assert tiny_config(tau1=0.0).thresholds.tau1 == 0.0
 
 
 class TestAdadelta:
@@ -307,6 +327,60 @@ class TestBatchGradients:
                            (opt.sq_update_avg, ref_opt.sq_update_avg)):
             for k in state:
                 assert state[k].tobytes() == ref[k].tobytes(), k
+
+
+class TestTapeFreeRuns:
+    """An embedding pass that needs no gradient takes one tape-free run
+    per level for all its documents, not two per document."""
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        levels = []
+        run = authverify.encoder.lstm_run_final
+
+        def counting(params, *args, **kwargs):
+            levels.append(1 if params.d_in == 3 else 2)
+            return run(params, *args, **kwargs)
+
+        monkeypatch.setattr(authverify.encoder, "lstm_run_final", counting)
+        return levels
+
+    def make_case(self, repeats=1):
+        rng = make_rng(35)
+        params = init_encoder_params(3, 2, 2, rng=rng)
+        batch = [p for _ in range(repeats) for p in TestBatchGradients().make_batch(rng)]
+        return params, batch
+
+    def test_one_run_per_level_per_in_batch_pass(self, runs, monkeypatch):
+        params, batch = self.make_case()
+        taped = []
+        encode = authverify.train.encode_document_training
+
+        def counting(*args, **kwargs):
+            taped.append(args[1])
+            return encode(*args, **kwargs)
+
+        monkeypatch.setattr(authverify.train, "encode_document_training", counting)
+        config = tiny_config(dropout_rate=0.3, in_batch_weight=2.0)
+        batch_gradients(params, batch, config, make_rng(0))
+        assert runs == [1, 2]
+        # only the per-pair pass keeps a tape: each document once
+        assert len(taped) == 2 * len(batch)
+
+    @pytest.mark.parametrize("repeats", [1, 9])
+    def test_one_run_per_level_per_chunk_of_pairs(self, runs, repeats):
+        # 4 pairs, then 36: one chunk of EVAL_CHUNK_PAIRS and a partial one
+        params, batch = self.make_case(repeats)
+        distances, _ = pair_distances(params, batch)
+        chunks = -(-len(batch) // authverify.train.EVAL_CHUNK_PAIRS)
+        assert runs == [1, 2] * chunks
+        assert distances == [
+            distance(
+                encode_document_training(params, p.known)[0],
+                encode_document_training(params, p.unknown)[0],
+            )
+            for p in batch
+        ]
 
 
 class TestTrainStep:

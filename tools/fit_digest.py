@@ -6,6 +6,11 @@ Prints one JSON line of sha256 digests:
 - `fit`: criterion 6's corpus and first split, trained with
   `bench_config(7).updated(max_epochs=3)`;
 - `fit_paper_loss`: the same with `in_batch_weight=0, max_epochs=2`;
+- `fit_paper_dims`: one epoch under `TrainConfig()` (the paper dims,
+  300/150/75, dropout 0.3, so every document has its own masks) on the
+  first split of a 20-instance 300-d corpus of ten-sentence documents,
+  one known text each: 16 pairs in one batch, 2 dev pairs, the shape
+  of perfbench's train-paper workload;
 - `cv`: criterion 7's `cross_validate` report (its corpus,
   `bench_config().updated(max_epochs=2, patience=2)`, seed 42,
   `threads=1`) with its `config` object removed; `cv_config_keys` lists that
@@ -27,7 +32,7 @@ Run it against any source tree and compare the lines:
 
     PYTHONPATH=<tree>/src python tools/fit_digest.py
 
-It takes about 35 s on a 2-CPU host.  It is not part of the test
+It takes about 45 s on a 2-CPU host.  It is not part of the test
 suite.
 """
 
@@ -111,6 +116,13 @@ def main() -> None:
                 instances, table, config.updated(in_batch_weight=0.0, max_epochs=2)
             ),
         }
+        instances, table = load_table(tmp, SyntheticSpec(
+            emb_dim=300, n_instances=20, min_sentences=10, max_sentences=10,
+            min_known=1, max_known=1,
+        ), seed=3)
+        out["fit_paper_dims"] = fit_digest(
+            instances, table, av.TrainConfig(max_epochs=1, patience=1)
+        )
         instances, table = load_table(tmp, SyntheticSpec(n_instances=120), seed=11)
         cv_config = bench_config().updated(max_epochs=2, patience=2, seed=42)
         report = av.cross_validate(instances, table, cv_config, k=10, threads=1)
