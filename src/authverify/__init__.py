@@ -39,7 +39,6 @@ from .lstm import (
     LstmTape,
     lstm_run,
     lstm_run_backward,
-    lstm_run_final,
 )
 from .numeric import (
     ShapeError,

@@ -3,20 +3,20 @@
 Level 1 maps each sentence's word vectors to a sentence embedding (the
 word LSTM's final hidden state); level 2 runs over the sentence
 embeddings and its final hidden state is the document embedding.  Both
-levels start from zero states, and each is one run of many rows.
+levels start from zero states.
 
-There are two ways through, and both give every document the bits it
-would get encoded alone, since each row's matrix-vector products are
-separate gemv calls.  `encode_document_training` keeps a tape for
-`encoder_backward`: it calls `lstm_run` with one row per sentence of the
-document at level 1 and the document as one row at level 2.
-`embed_documents` keeps no tape: it embeds a whole list of documents in
-two `lstm_run_final` calls, one row per sentence of every document at
-level 1 and one row per document at level 2; every embedding that needs
-no gradient goes through it, `encode_document` included.  Variational
-dropout masks, when given, multiply the input and recurrent activations
-at every step of a sequence; one level-1 mask pair is shared by all
-sentences of a document.
+Every encoding takes the same path: the real word vectors of a list of
+documents are gathered into one array, level 1 is one `lstm_run` with a
+row per sentence of every document, and level 2 is one `lstm_run` with a
+row per document.  Each row's matrix-vector products are separate gemv
+calls, so every document gets the bits it would get encoded alone.
+`encode_document_training` encodes one document and keeps the tapes
+`encoder_backward` walks back through; `embed_documents` encodes a whole
+list without tapes, and every embedding that needs no gradient goes
+through it, `encode_document` included.  Variational dropout masks, when
+given, multiply the input and recurrent activations at every step of a
+sequence; one level-1 mask pair is shared by all sentences of a
+document.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .lstm import (
     lstm_backward_dz,
     lstm_run,
     lstm_run_backward,
-    lstm_run_final,
     param_gradients,
 )
 from .numeric import ShapeError
@@ -172,47 +171,22 @@ class DocumentTape:
     """Forward caches of a whole document encoding, for encoder_backward."""
 
     level1_tape: LstmTape = field(repr=False)  # one row per sentence
-    sentence_embeddings: np.ndarray = field(repr=False)  # (num_sentences, d_s)
-    level2_tape: LstmTape = field(repr=False)  # one row
+    level2_tape: LstmTape = field(repr=False)  # one row over the sentence embeddings
 
 
-def encode_document_training(
-    params: EncoderParams,
-    doc: EncodedDocument,
-    masks: DropoutMasks | None = None,
-) -> tuple[np.ndarray, DocumentTape]:
-    """Document embedding plus the tape bundle needed for the backward pass."""
-    n = doc.num_sentences
-    sent_final, level1_tape = lstm_run(
-        params.level1, doc.words[:n], doc.sent_lengths,
-        in_mask=masks.input1 if masks is not None else None,
-        rec_mask=masks.recurrent1 if masks is not None else None,
-    )
-    sent_embeddings = sent_final.h
-    final, level2_tape = lstm_run(
-        params.level2, sent_embeddings[None], [n],
-        in_mask=masks.input2 if masks is not None else None,
-        rec_mask=masks.recurrent2 if masks is not None else None,
-    )
-    return final.h[0], DocumentTape(level1_tape, sent_embeddings, level2_tape)
-
-
-def embed_documents(
+def _encode(
     params: EncoderParams,
     docs: list[EncodedDocument],
-    masks: list[DropoutMasks] | None = None,
-) -> np.ndarray:
-    """Embeddings (len(docs), d_d) of documents, in order and without a
-    tape; row j equals `encode_document_training(params, docs[j],
-    masks[j])[0]` bit for bit.
+    masks: list[DropoutMasks] | None,
+    record: bool,
+) -> tuple[np.ndarray, DocumentTape | None]:
+    """Embeddings (len(docs), d_d) of documents in two runs, with both
+    runs' tapes if `record`.
 
-    Level 1 is one run with a row per sentence of every document, its
-    input the real word vectors gathered into one (tokens, d_w) array;
-    level 2 is one run with a row per document.  `masks`, one
-    DropoutMasks per document, become per-row masks of both runs.
+    Level 1's input is the real word vectors gathered into one
+    (tokens, d_w) array; `masks`, one DropoutMasks per document, become
+    per-row masks of both runs.
     """
-    if not docs:
-        return np.empty((0, params.d_d))
     counts = np.array([doc.num_sentences for doc in docs])
     lengths = np.concatenate([doc.sent_lengths for doc in docs])
     words = np.empty((lengths.sum(), params.d_w))
@@ -234,8 +208,36 @@ def embed_documents(
             np.stack([m.recurrent2 for m in masks]),
         )
     # the sentence embeddings, document after document, are level 2's steps
-    sent_embeddings = lstm_run_final(params.level1, words, lengths, *level1_masks)
-    return lstm_run_final(params.level2, sent_embeddings, counts, *level2_masks)
+    sentences, level1_tape = lstm_run(
+        params.level1, words, lengths, None, *level1_masks, record=record
+    )
+    final, level2_tape = lstm_run(
+        params.level2, sentences.h, counts, None, *level2_masks, record=record
+    )
+    return final.h, DocumentTape(level1_tape, level2_tape) if record else None
+
+
+def encode_document_training(
+    params: EncoderParams,
+    doc: EncodedDocument,
+    masks: DropoutMasks | None = None,
+) -> tuple[np.ndarray, DocumentTape]:
+    """Document embedding plus the tape bundle needed for the backward pass."""
+    x, tape = _encode(params, [doc], None if masks is None else [masks], record=True)
+    return x[0], tape
+
+
+def embed_documents(
+    params: EncoderParams,
+    docs: list[EncodedDocument],
+    masks: list[DropoutMasks] | None = None,
+) -> np.ndarray:
+    """Embeddings (len(docs), d_d) of documents, in order and without a
+    tape; row j equals `encode_document_training(params, docs[j],
+    masks[j])[0]` bit for bit."""
+    if not docs:
+        return np.empty((0, params.d_d))
+    return _encode(params, docs, masks, record=False)[0]
 
 
 def encode_document(
@@ -261,11 +263,11 @@ def encoder_backward(
     embeddings are pretrained, not trained here.  A tape recorded with
     other dimensions raises ShapeError from `lstm_backward_dz`.
     """
-    dtype = params.level1.w.dtype
-    zero_d = np.zeros((1, params.d_d), dtype=dtype)
+    zero_d = np.zeros((1, params.d_d), dtype=params.level1.w.dtype)
     grads2, d_sent, _, _ = lstm_run_backward(
         params.level2, tape.level2_tape, d_xd[None], zero_d
     )
-    zero_s = np.zeros_like(d_sent[0])
-    dz, _, _ = lstm_backward_dz(params.level1, tape.level1_tape, d_sent[0], zero_s)
+    dz, _, _ = lstm_backward_dz(
+        params.level1, tape.level1_tape, d_sent, np.zeros_like(d_sent)
+    )
     return EncoderParams(level1=param_gradients(dz, tape.level1_tape), level2=grads2)

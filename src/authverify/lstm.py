@@ -1,6 +1,6 @@
 """A single LSTM cell built from scratch: exact forward dynamics, runs of
-many sequences at once with a state-freezing padding rule, and an
-analytic backward pass (backpropagation through time).
+many sequences at once over their real steps only, and an analytic
+backward pass (backpropagation through time).
 
 Gate layout
 -----------
@@ -12,28 +12,27 @@ k*d .. (k+1)*d of each array; that is the only parameter layout.
 
 Rows run together
 -----------------
-There are two forward runs, and each steps R sequences (rows) of
-different lengths together; one sequence is a run of one row.
-`lstm_run` keeps a tape, the record `lstm_backward_dz` walks back
-through, so training's per-pair pass uses it.  `lstm_run_final` keeps
-no tape and returns only the final hidden states: it serves every
+There is one forward run, `lstm_run`.  It steps R sequences (rows) of
+different lengths together; one sequence is a run of one row.  Its input
+holds only the real steps, packed row after row, so padding never
+reaches the cell.  It keeps a tape, the record `lstm_backward_dz` walks
+back through, only when asked: training's per-pair pass asks, and every
 embedding that needs no gradient (in-batch negatives, evaluation,
-inference).  Both compute the same numpy expressions in the same order,
-and every matrix-vector product is its own gemv call, made for all rows
-by one stacked matmul, so a row gets the bits it would get running
-alone, in either run; a GEMM over the rows would sum in another order.
-`lstm_backward_dz` walks the rows back together, one W^T gemv per row
-and step.
+inference) does not.  Every matrix-vector product is its own gemv call,
+made for all rows by one stacked matmul, so a row gets the bits it would
+get running alone, with or without a tape; a GEMM over the rows would
+sum in another order.  `lstm_backward_dz` walks the rows back together,
+one W^T gemv per row and step.
 
-State freezing
---------------
-A row shorter than the run keeps hidden and memory state fixed once its
-length is reached.  In `lstm_run` the frozen steps are exact copies made
-by `np.where`, not multiplications by a mask, so the final state after
-freezing is bit-identical to the state after the last real step;
-gradients flow through the copies untouched, and gradients for padded
-inputs are zero.  `lstm_run_final` sorts the rows by length and steps
-only the prefix of rows still live, so a finished row is never touched.
+Live prefixes
+-------------
+The rows are stepped in order of non-increasing length (a stable sort),
+so the rows still running at step t are a prefix of that order, and step
+t computes that prefix alone, forward and backward.  A row whose length
+is reached is never touched again: its state stays as its last real step
+left it, and its upstream gradients wait unchanged until the backward
+walk reaches that step.  Nothing is computed for a step past a row's
+length, so there is nothing to copy or discard.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ __all__ = [
     "LstmTape",
     "sigmoid",
     "lstm_run",
-    "lstm_run_final",
     "lstm_run_backward",
     "lstm_backward_dz",
     "param_gradients",
@@ -167,74 +165,65 @@ class LstmState:
 class LstmTape:
     """Forward-pass record of a run, for the backward pass.
 
-    R rows are stepped together for T steps, T being the longest row's
-    length.  Row r's real steps are 0 .. lengths[r] - 1; its entries past
-    them belong to frozen steps, which the backward pass skips.  `length`
-    is the number of steps the inputs were padded to (>= T).  The inputs
-    are held by reference and masked again in the backward pass, and tanh
-    of the memory state is recomputed there, so a step stores 6 * d_out
-    floats per row.
+    The tape's step arrays are packed step after step: step t's block
+    holds the live[t] rows still running at step t, in stepping order
+    (`order`), so a step's block is one contiguous slice and the arrays
+    have one entry per real step.  `index` gives, for every real step in
+    the input's row-after-row order, its place in the packed arrays.  The
+    inputs are held by reference and masked again in the backward pass,
+    and tanh of the memory state is recomputed there, so a step stores
+    6 * d_out floats per row.
     """
 
-    d_in: int
-    d_out: int
     lengths: np.ndarray  # (R,) real steps of each row
-    length: int
-    xs: np.ndarray = field(repr=False)  # (R, T, d_in), unmasked
-    h_in: np.ndarray = field(repr=False)  # (R, T, d_out), masked
-    gates: np.ndarray = field(repr=False)  # (R, T, 4*d_out): f, i, o, c~
-    c: np.ndarray = field(repr=False)  # (R, T + 1, d_out): c_0 .. c_T
+    order: np.ndarray  # (R,) the rows in stepping order
+    live: np.ndarray  # (T,) rows still running at each step
+    index: np.ndarray = field(repr=False)  # (tokens,) packed place of each input step
+    xs: np.ndarray = field(repr=False)  # (tokens, d_in), row after row, unmasked
+    h_in: np.ndarray = field(repr=False)  # (tokens, d_out), masked, packed
+    gates: np.ndarray = field(repr=False)  # (tokens, 4*d_out): f, i, o, c~, packed
+    c: np.ndarray = field(repr=False)  # (tokens, d_out): c after each step, packed
+    c0: np.ndarray = field(repr=False)  # (R, d_out): the initial c, stepping order
     in_mask: np.ndarray | None = None  # (d_in,) or (R, d_in)
     rec_mask: np.ndarray | None = None  # (d_out,) or (R, d_out)
 
     @property
-    def x_in(self) -> np.ndarray:
-        return self.xs if self.in_mask is None else self.xs * _per_step(self.in_mask)
+    def step_in_mask(self) -> np.ndarray | None:
+        """The input mask of every step, row after row like `xs`: a
+        (d_in,) mask as it is, per-row masks as (tokens, d_in)."""
+        mask = self.in_mask
+        return mask if mask is None or mask.ndim == 1 else np.repeat(
+            mask, self.lengths, axis=0
+        )
 
     @property
-    def real(self) -> np.ndarray:
-        """(R, T) booleans, True at each row's real steps."""
-        return np.arange(self.xs.shape[1]) < self.lengths[:, None]
+    def x_in(self) -> np.ndarray:
+        """The masked inputs, row after row like `xs`."""
+        mask = self.step_in_mask
+        return self.xs if mask is None else self.xs * mask
 
 
-def _per_step(mask: np.ndarray) -> np.ndarray:
-    """A (d,) mask as it is, an (R, d) mask as (R, 1, d): either scales
-    every step of an (R, T, d) array."""
-    return mask if mask.ndim == 1 else mask[:, None, :]
-
-
-def _gemv(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """`a @ r` for every vector r along the last axis of `rows`.
+def _gemv(
+    a: np.ndarray, rows: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """`a @ r` for every vector r along the last axis of `rows`, written
+    to `out` if given.
 
     The stacked matmul makes one gemv call per vector, so each result has
     the bits of `a @ r` computed alone.  A GEMM (`rows @ a.T`) would sum
     in another order and change the last bits.
     """
-    return np.matmul(a, rows[..., None])[..., 0]
+    if out is not None:
+        out = out[..., None]
+    return np.matmul(a, rows[..., None], out=out)[..., 0]
 
 
-def _check_run(
-    params: LstmParams,
-    rows: int,
-    lengths: np.ndarray | list[int],
-    in_mask: np.ndarray | None,
-    rec_mask: np.ndarray | None,
-) -> np.ndarray:
-    """The lengths of a run of `rows` rows as an array, once the lengths
-    and masks have the shapes of such a run."""
-    lengths = np.asarray(lengths)
-    if lengths.shape != (rows,):
-        raise ShapeError(f"lengths shape {lengths.shape} must be ({rows},)")
-    if rows == 0 or lengths.min() < 1:
-        raise ValueError("a run requires at least one row, each of length >= 1")
-    for name, mask, dim in (
-        ("in_mask", in_mask, params.d_in), ("rec_mask", rec_mask, params.d_out)
-    ):
-        if mask is not None and mask.shape not in ((dim,), (rows, dim)):
-            raise ShapeError(
-                f"{name} shape {mask.shape} must be ({dim},) or ({rows}, {dim})"
-            )
-    return lengths
+def _in_order(mask: np.ndarray | None, order: np.ndarray) -> np.ndarray | None:
+    """A mask as (1, d) or as its (R, d) rows in stepping order, so that
+    `[:k]` selects the masks of the first k rows stepped."""
+    if mask is None:
+        return None
+    return mask[None] if mask.ndim == 1 else mask[order]
 
 
 def lstm_run(
@@ -244,152 +233,112 @@ def lstm_run(
     init: LstmState | None = None,
     in_mask: np.ndarray | None = None,
     rec_mask: np.ndarray | None = None,
-) -> tuple[LstmState, LstmTape]:
+    record: bool = False,
+) -> tuple[LstmState, LstmTape | None]:
     """Apply the cell to R sequences at once, row r for lengths[r] steps.
 
-    Each real step t computes, from the masked input x and the masked
-    previous hidden state h,
+    Each step computes, from the masked input x and the masked previous
+    hidden state h,
     f = sigmoid(W_f h + U_f x + b_f), i and o analogous,
     c~ = tanh(W_c h + U_c x + b_c), c' = f*c + i*c~, h' = o*tanh(c').
     Optional masks, (d,) shared by every row or (R, d) one per row,
     multiply the input and the recurrent hidden state entering the gate
     preactivations (variational dropout).
 
-    `xs` is (R, length, d_in) with length >= max(lengths); a row's inputs
-    past its length are ignored.  The input projection U x of every step
-    is taken before the recurrence.  All rows step together; a row past
-    its length keeps h and c through `np.where` copies, so the returned
-    state, each (R, d_out), is exactly the state after each row's last
-    real step however far the rows are padded.  Every matrix-vector
-    product is its own gemv call (`_gemv`), so a row gets the same bits
-    whether it runs alone or beside others.
+    `xs` holds only the real steps, row after row: (sum(lengths), d_in).
+    The rows start from `init` (zero states if None) and are stepped in
+    order of non-increasing length, step t computing only the rows still
+    running (see the module docstring).  Returns the state after each
+    row's last step, each (R, d_out) in the caller's row order, and the
+    tape if `record`, else None.  Every matrix-vector product is its own
+    gemv call (`_gemv`), so a row gets the same bits whether it runs
+    alone or beside others, with a tape or without.
     """
+    lengths = np.asarray(lengths)
+    if lengths.ndim != 1 or len(lengths) == 0 or lengths.min() < 1:
+        raise ValueError("a run requires at least one row, each of length >= 1")
+    rows = len(lengths)
+    for name, mask, dim in (
+        ("in_mask", in_mask, params.d_in), ("rec_mask", rec_mask, params.d_out)
+    ):
+        if mask is not None and mask.shape not in ((dim,), (rows, dim)):
+            raise ShapeError(
+                f"{name} shape {mask.shape} must be ({dim},) or ({rows}, {dim})"
+            )
     xs = np.asarray(xs)
-    if xs.ndim != 3 or xs.shape[2] != params.d_in:
-        raise ShapeError(
-            f"xs shape {xs.shape} does not match (rows, steps, d_in={params.d_in})"
-        )
-    rows = xs.shape[0]
-    lengths = _check_run(params, rows, lengths, in_mask, rec_mask)
-    shortest, steps = int(lengths.min()), int(lengths.max())
-    if steps > xs.shape[1]:
-        raise ValueError(f"row length {steps} exceeds the {xs.shape[1]} steps of xs")
-    d = params.d_out
-    dtype = params.w.dtype
-    state = LstmState.zeros(rows, d, dtype=dtype) if init is None else init
-    if state.h.shape != (rows, d):
-        raise ShapeError(
-            f"init state shape {state.h.shape} does not match ({rows}, {d})"
-        )
-    h_in = np.empty((rows, steps, d), dtype=dtype)
-    gates = np.empty((rows, steps, 4 * d), dtype=dtype)
-    cs = np.empty((rows, steps + 1, d), dtype=dtype)
-    cs[:, 0] = state.c
-    h = state.h
-    length = xs.shape[1]
-    xs = xs[:, :steps]
-    # U x of every real step at once; padded steps are left at zero
-    real = np.arange(steps) < lengths[:, None]
-    x_in = xs if in_mask is None else xs * _per_step(in_mask)
-    ux = np.zeros((rows, steps, 4 * d), dtype=dtype)
-    ux[real] = _gemv(params.u, x_in[real])
-    for t in range(steps):
-        h_t = h_in[:, t]
-        if rec_mask is None:
-            h_t[...] = h
-        else:
-            np.multiply(h, rec_mask, out=h_t)
-        z = _gemv(params.w, h_t)
-        z += ux[:, t]
-        z += params.b
-        g = gates[:, t]
-        sigmoid(z[:, : 3 * d], out=g[:, : 3 * d])
-        np.tanh(z[:, 3 * d :], out=g[:, 3 * d :])
-        c = cs[:, t + 1]
-        np.multiply(g[:, :d], cs[:, t], out=c)
-        c += g[:, d : 2 * d] * g[:, 3 * d :]
-        h_new = np.tanh(c)
-        h_new *= g[:, 2 * d : 3 * d]
-        if t >= shortest:  # before that every row is live
-            live = (t < lengths)[:, None]
-            cs[:, t + 1] = np.where(live, cs[:, t + 1], cs[:, t])
-            h_new = np.where(live, h_new, h)
-        h = h_new
-    state = LstmState(h, cs[:, steps].copy())
-    tape = LstmTape(
-        d_in=params.d_in,
-        d_out=d,
-        lengths=lengths,
-        length=length,
-        xs=xs,
-        h_in=h_in,
-        gates=gates,
-        c=cs,
-        in_mask=in_mask,
-        rec_mask=rec_mask,
-    )
-    return state, tape
-
-
-def lstm_run_final(
-    params: LstmParams,
-    xs: np.ndarray,
-    lengths: np.ndarray | list[int],
-    in_mask: np.ndarray | None = None,
-    rec_mask: np.ndarray | None = None,
-) -> np.ndarray:
-    """The final hidden states (R, d_out) of `lstm_run` from zero states,
-    bit for bit, without a tape.
-
-    `xs` holds only the real steps, row after row: (sum(lengths), d_in),
-    the rows of `lstm_run`'s input `xs[np.arange(T) < lengths[:, None]]`.
-    Rows may come in any order; masks are those of `lstm_run`.  The rows
-    are stepped in order of non-increasing length, so the rows still live
-    at step t are a prefix of them, and step t computes that prefix alone:
-    the same expressions as `lstm_run` in the same order, with one gemv
-    per row for U x as well as for W h.  A row's state is left as it is
-    once its length is reached, which needs no copy, and nothing of the
-    shape (R, T, .) is allocated.
-    """
-    lengths = _check_run(params, len(lengths), lengths, in_mask, rec_mask)
-    xs = np.asarray(xs)
-    if xs.shape != (lengths.sum(), params.d_in):
+    tokens = int(lengths.sum())
+    if xs.shape != (tokens, params.d_in):
         raise ShapeError(
             f"xs shape {xs.shape} must be (sum of lengths, d_in) = "
-            f"({lengths.sum()}, {params.d_in})"
+            f"({tokens}, {params.d_in})"
+        )
+    d = params.d_out
+    dtype = params.w.dtype
+    if init is not None and init.h.shape != (rows, d):
+        raise ShapeError(
+            f"init state shape {init.h.shape} does not match ({rows}, {d})"
         )
     order = np.argsort(-lengths, kind="stable")
-    # where each row's steps start in xs, in stepping order
-    starts = (np.cumsum(lengths) - lengths)[order]
-    # live[t]: rows still running at step t, a prefix of `order`
-    live = np.count_nonzero(lengths > np.arange(lengths.max())[:, None], axis=1)
-    # masks as (1, d) or sorted (R, d), so [:k] selects those of the live rows
-    in_mask, rec_mask = (
-        None if m is None else m[None] if m.ndim == 1 else m[order]
-        for m in (in_mask, rec_mask)
-    )
-    d = params.d_out
-    h = np.zeros((len(order), d), dtype=params.w.dtype)
-    c = np.zeros_like(h)
-    for t, k in enumerate(live):
-        h_t = h[:k] if rec_mask is None else h[:k] * rec_mask[:k]
-        x_t = xs[starts[:k] + t]
-        if in_mask is not None:
-            x_t *= in_mask[:k]
-        z = _gemv(params.w, h_t)
-        z += _gemv(params.u, x_t)
-        z += params.b
-        g = z  # the gates overwrite their preactivations
-        sigmoid(z[:, : 3 * d], out=g[:, : 3 * d])
-        np.tanh(z[:, 3 * d :], out=g[:, 3 * d :])
-        c_t = c[:k]
-        np.multiply(g[:, :d], c_t, out=c_t)
+    steps = np.arange(lengths.max())[:, None]
+    running = steps < lengths[order]  # (T, R): row t marks a prefix of `order`
+    live = np.count_nonzero(running, axis=1)
+    first = np.cumsum(live) - live  # where step t's block starts in the packed steps
+    # the input row of every packed step, and the packed place of every input row
+    source = ((np.cumsum(lengths) - lengths)[order] + steps)[running]
+    index = np.empty_like(source)
+    index[source] = np.arange(tokens)
+    if init is None:
+        h, c = np.zeros((rows, d), dtype=dtype), np.zeros((rows, d), dtype=dtype)
+    else:
+        h, c = init.h[order], init.c[order]
+    in_m, rec_m = _in_order(in_mask, order), _in_order(rec_mask, order)
+    # Without a tape the step arrays are one step's scratch: every step
+    # writes from row 0, where the rows it computes sit.
+    kept = tokens if record else rows
+    at = first if record else np.zeros_like(first)
+    h_in = np.empty((kept, d), dtype=dtype)
+    gates = np.empty((kept, 4 * d), dtype=dtype)
+    cs = np.empty((kept, d), dtype=dtype)
+    tape = None
+    if record:
+        tape = LstmTape(
+            lengths, order, live, index, xs, h_in, gates, cs, c, in_mask, rec_mask
+        )
+        # A taped run (in training, one document) takes U x of every step
+        # in one stacked call before the recurrence, which saves a call per
+        # step; a tape-free run takes it step by step, so a run over many
+        # documents never holds a (tokens, 4*d_out) array.
+        ux = _gemv(params.u, tape.x_in[source])
+    for k, at_t, first_t in zip(live.tolist(), at.tolist(), first.tolist()):
+        block = slice(at_t, at_t + k)
+        h_t = h_in[block]
+        if rec_m is None:
+            h_t[...] = h[:k]
+        else:
+            np.multiply(h[:k], rec_m[:k], out=h_t)
+        g = _gemv(params.w, h_t, out=gates[block])
+        if record:
+            g += ux[block]
+        else:
+            x_t = xs[source[first_t : first_t + k]]
+            if in_m is not None:
+                x_t *= in_m[:k]
+            g += _gemv(params.u, x_t)
+        g += params.b
+        # the gates overwrite their preactivations
+        sigmoid(g[:, : 3 * d], out=g[:, : 3 * d])
+        np.tanh(g[:, 3 * d :], out=g[:, 3 * d :])
+        c_t = cs[block]
+        np.multiply(g[:, :d], c[:k], out=c_t)
         c_t += g[:, d : 2 * d] * g[:, 3 * d :]
+        c = c_t
         h_t = np.tanh(c_t, out=h[:k])
         h_t *= g[:, 2 * d : 3 * d]
-    out = np.empty_like(h)
-    out[order] = h
-    return out
+    state = LstmState(np.empty_like(h), np.empty_like(h))
+    state.h[order] = h
+    # each row's last c sits in the block of its last step
+    state.c[order] = cs[at[lengths[order] - 1] + np.arange(rows)]
+    return state, tape
 
 
 def lstm_run_backward(
@@ -402,32 +351,27 @@ def lstm_run_backward(
 
     Given dL/dh_final and dL/dc_final, each (R, d_out), returns
     (parameter gradients as an LstmParams-shaped container, input
-    gradients of shape (R, length, d_in) with zero rows at every step past
-    a row's length, dL/dh_0, dL/dc_0).
+    gradients of shape (sum(lengths), d_in), row after row like the run's
+    input, dL/dh_0, dL/dc_0).
     """
-    dz_steps, dh, dc = lstm_backward_dz(params, tape, d_h_final, d_c_final)
-    real = tape.real
-    input_grads = np.zeros(
-        (len(tape.lengths), tape.length, params.d_in), dtype=params.w.dtype
-    )
-    run_grads = input_grads[:, : real.shape[1]]
-    run_grads[real] = dz_steps[real] @ params.u
-    if tape.in_mask is not None:
-        run_grads *= _per_step(tape.in_mask)
-    return param_gradients(dz_steps, tape), input_grads, dh, dc
+    dz, dh, dc = lstm_backward_dz(params, tape, d_h_final, d_c_final)
+    input_grads = dz @ params.u
+    mask = tape.step_in_mask
+    if mask is not None:
+        input_grads *= mask
+    return param_gradients(dz, tape), input_grads, dh, dc
 
 
-def param_gradients(dz_steps: np.ndarray, tape: LstmTape) -> LstmParams:
+def param_gradients(dz: np.ndarray, tape: LstmTape) -> LstmParams:
     """Parameter gradients from the preactivation gradients of a run.
 
-    The real steps of every row are gathered in row-major order (row 0's
-    steps first) with the (masked) recurrent and external inputs of the
-    same steps; one matrix product per parameter sums over all of them.
+    `dz` holds every real step in the run's input order (row 0's steps
+    first), as `lstm_backward_dz` returns it; with the (masked) recurrent
+    and external inputs of the same steps, one matrix product per
+    parameter sums over all of them.
     """
-    real = tape.real
-    dz = dz_steps[real]
     return LstmParams(
-        w=dz.T @ tape.h_in[real], u=dz.T @ tape.x_in[real], b=dz.sum(axis=0)
+        w=dz.T @ tape.h_in[tape.index], u=dz.T @ tape.x_in, b=dz.sum(axis=0)
     )
 
 
@@ -439,61 +383,67 @@ def lstm_backward_dz(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Backpropagation through the real steps of a run, all rows together.
 
-    Returns the gate preactivation gradients dL/dz as an (R, T, 4*d_out)
-    array in GATE_ORDER, zero at frozen steps, then dL/dh_0 and dL/dc_0,
-    each (R, d_out).  `param_gradients` turns the first into parameter
-    gradients.  Frozen steps are identity copies, so a row's upstream
-    gradients pass them unchanged (again by `np.where` copies) and its
-    walk starts at its last real step.  dL/dh goes back through W^T with
-    one gemv per row.
+    Returns the gate preactivation gradients dL/dz as a
+    (sum(lengths), 4*d_out) array in GATE_ORDER, row after row like the
+    run's input, then dL/dh_0 and dL/dc_0, each (R, d_out).
+    `param_gradients` turns the first into parameter gradients.  The walk
+    goes back over the forward's live prefixes, so a row's upstream
+    gradients wait unchanged until its last step is reached.  dL/dh goes
+    back through W^T with one gemv per row.
     """
-    if tape.d_in != params.d_in or tape.d_out != params.d_out:
+    if tape.xs.shape[1] != params.d_in or tape.h_in.shape[1] != params.d_out:
         raise ShapeError(
-            f"tape dims ({tape.d_in}, {tape.d_out}) do not match params "
-            f"({params.d_in}, {params.d_out})"
+            f"tape dims ({tape.xs.shape[1]}, {tape.h_in.shape[1]}) do not match "
+            f"params ({params.d_in}, {params.d_out})"
         )
-    rows, steps = tape.gates.shape[:2]
+    rows = len(tape.lengths)
     shape = (rows, params.d_out)
     if d_h_final.shape != shape or d_c_final.shape != shape:
         raise ShapeError(f"upstream gradient shapes must be {shape}")
 
     d = params.d_out
     dtype = params.w.dtype
+    order, live = tape.order, tape.live
+    ends = np.cumsum(live)
     gates = tape.gates
-    f = gates[..., :d]
-    i = gates[..., d : 2 * d]
-    o = gates[..., 2 * d : 3 * d]
-    c_tilde = gates[..., 3 * d :]
-    tanh_c = np.tanh(tape.c[:, 1:])
+    f = gates[:, :d]
+    i = gates[:, d : 2 * d]
+    o = gates[:, 2 * d : 3 * d]
+    c_tilde = gates[:, 3 * d :]
+    tanh_c = np.tanh(tape.c)
+    # c entering every step: c_0, then the first live[t] rows of the
+    # block before step t's
+    c_prev = np.concatenate(
+        (tape.c0, tape.c[np.arange(rows, len(f)) - np.repeat(live[:-1], live[1:])])
+    )
     # local derivatives of every step, taken for all steps at once
     d_c_from_h = o * (1.0 - tanh_c * tanh_c)
-    d_zf = tape.c[:, :-1] * f * (1.0 - f)
+    d_zf = c_prev * f * (1.0 - f)
     d_zi = c_tilde * i * (1.0 - i)
     d_zo = tanh_c * o * (1.0 - o)
     d_zc = i * (1.0 - c_tilde * c_tilde)
-    dz_steps = np.empty((rows, steps, 4 * d), dtype=dtype)
-    dh = np.asarray(d_h_final, dtype=dtype).copy()
-    dc = np.asarray(d_c_final, dtype=dtype).copy()
+    dz_steps = np.empty((len(f), 4 * d), dtype=dtype)
+    dh = np.asarray(d_h_final, dtype=dtype)[order]
+    dc = np.asarray(d_c_final, dtype=dtype)[order]
+    rec_m = _in_order(tape.rec_mask, order)
     w_t = params.w.T
-    shortest = int(tape.lengths.min())
 
-    for t in range(steps - 1, -1, -1):
-        dz = dz_steps[:, t]
-        np.multiply(dh, d_zo[:, t], out=dz[:, 2 * d : 3 * d])
-        dc_t = dh * d_c_from_h[:, t]
-        dc_t += dc
-        np.multiply(dc_t, d_zf[:, t], out=dz[:, :d])
-        np.multiply(dc_t, d_zi[:, t], out=dz[:, d : 2 * d])
-        np.multiply(dc_t, d_zc[:, t], out=dz[:, 3 * d :])
+    for k, end in zip(live[::-1].tolist(), ends[::-1].tolist()):
+        block = slice(end - k, end)
+        dz = dz_steps[block]
+        np.multiply(dh[:k], d_zo[block], out=dz[:, 2 * d : 3 * d])
+        dc_t = dh[:k] * d_c_from_h[block]
+        dc_t += dc[:k]
+        np.multiply(dc_t, d_zf[block], out=dz[:, :d])
+        np.multiply(dc_t, d_zi[block], out=dz[:, d : 2 * d])
+        np.multiply(dc_t, d_zc[block], out=dz[:, 3 * d :])
         dh_t = _gemv(w_t, dz)
-        if tape.rec_mask is not None:
-            dh_t *= tape.rec_mask
-        dc_t *= f[:, t]
-        if t >= shortest:  # below that every row is live
-            live = (t < tape.lengths)[:, None]
-            dh_t = np.where(live, dh_t, dh)
-            dc_t = np.where(live, dc_t, dc)
-        dh, dc = dh_t, dc_t
+        if rec_m is None:
+            dh[:k] = dh_t
+        else:
+            np.multiply(dh_t, rec_m[:k], out=dh[:k])
+        np.multiply(dc_t, f[block], out=dc[:k])
 
-    dz_steps[~tape.real] = 0.0
-    return dz_steps, dh, dc
+    dh_0, dc_0 = np.empty_like(dh), np.empty_like(dc)
+    dh_0[order], dc_0[order] = dh, dc
+    return dz_steps[tape.index], dh_0, dc_0

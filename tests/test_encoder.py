@@ -108,7 +108,18 @@ class TestEncodeDocument:
         doc = random_doc(make_rng(4), 4, [2], 3, 3)
         x_d, tape = encode_document_training(params, doc)
         assert x_d.shape == (2,)
-        assert tape.sentence_embeddings.shape == (1, 3)
+        assert tape.level2_tape.xs.shape == (1, 3)  # the sentence embeddings
+
+    def test_tape_holds_only_real_steps(self, rng):
+        params = EncoderParams(
+            LstmParams.init_uniform(3, 2, -0.5, 0.5, rng),
+            LstmParams.init_uniform(2, 2, -0.5, 0.5, rng),
+        )
+        doc = random_doc(make_rng(5), 3, [2, 4, 1], max_words=33, max_sentences=123)
+        _, tape = encode_document_training(params, doc)
+        level1 = tape.level1_tape
+        for a in (level1.gates, level1.h_in, level1.c):
+            assert a.shape[0] == doc.token_count
 
 
 class TestEmbedDocuments:
@@ -229,21 +240,24 @@ class TestEncoderBackward:
                 np.testing.assert_array_equal(ga[name], gb[name])
 
     def test_masks_fixed_still_finite_difference_consistent(self):
-        params, doc = self.make_setup(seed=9)
+        params, equal = self.make_setup(seed=9)
+        # unequal sentences, not in length order, padded to (5, 5)
+        unequal = random_doc(make_rng(13), 3, [3, 1, 4], max_words=5, max_sentences=5)
         masks = sample_dropout_masks((3, 2, 2), 0.3, make_rng(10))
         d_xd = np.array([1.0, -0.5])
+        for doc in (equal, unequal):
 
-        def loss():
-            x_d, _ = encode_document_training(params, doc, masks)
-            return float(np.dot(d_xd, x_d))
+            def loss():
+                x_d, _ = encode_document_training(params, doc, masks)
+                return float(np.dot(d_xd, x_d))
 
-        _, tape = encode_document_training(params, doc, masks)
-        grads = encoder_backward(params, tape, d_xd)
-        analytic = grads.arrays()
-        for name, target in params.arrays().items():
-            numeric = numeric_gradient(loss, target)
-            failures = compare_grads(name, analytic[name], numeric)
-            assert not failures, (name, failures[:3])
+            _, tape = encode_document_training(params, doc, masks)
+            grads = encoder_backward(params, tape, d_xd)
+            analytic = grads.arrays()
+            for name, target in params.arrays().items():
+                numeric = numeric_gradient(loss, target)
+                failures = compare_grads(name, analytic[name], numeric)
+                assert not failures, (doc.sent_lengths, name, failures[:3])
 
     def test_level1_matches_per_sentence_backward(self):
         # reference: each sentence run and walked back as a one-row batch,
@@ -265,11 +279,11 @@ class TestEncoderBackward:
         ref = LstmParams.zeros(3, 4)
         for k, n in enumerate(doc.sent_lengths):
             _, sent_tape = lstm_run(
-                params.level1, doc.words[k : k + 1], [n],
-                in_mask=masks.input1, rec_mask=masks.recurrent1,
+                params.level1, doc.words[k, :n], [n],
+                in_mask=masks.input1, rec_mask=masks.recurrent1, record=True,
             )
             g, _, _, _ = lstm_run_backward(
-                params.level1, sent_tape, d_sent[:, k], np.zeros((1, 4))
+                params.level1, sent_tape, d_sent[k : k + 1], np.zeros((1, 4))
             )
             for name, a in g.arrays().items():
                 ref.arrays()[name] += a

@@ -8,7 +8,6 @@ from authverify.lstm import (
     _gemv,
     lstm_run,
     lstm_run_backward,
-    lstm_run_final,
     sigmoid,
 )
 from authverify.numeric import ShapeError, make_rng
@@ -16,13 +15,6 @@ from authverify.numeric import ShapeError, make_rng
 # 0.5 * tanh(0.5 * tanh(1)), the scalar cell worked out by hand
 SCALAR_H = 0.18169974219452623
 SCALAR_C = 0.3807970779778824
-
-
-def zero_padded(xs, length):
-    """One row (1, length, d) holding `xs` and then zeros."""
-    out = np.zeros((1, length, xs.shape[1]))
-    out[0, : len(xs)] = xs
-    return out
 
 
 class TestSigmoid:
@@ -56,7 +48,7 @@ class TestLstmParams:
 class TestLstmStep:
     def test_all_zero_params_zero_state(self, rng):
         p = LstmParams.zeros(3, 2)
-        out, _ = lstm_run(p, rng.normal(size=3)[None, None], [1],
+        out, _ = lstm_run(p, rng.normal(size=3)[None], [1],
                           init=LstmState.zeros(1, 2))
         np.testing.assert_array_equal(out.h[0], np.zeros(2))
         np.testing.assert_array_equal(out.c[0], np.zeros(2))
@@ -64,7 +56,7 @@ class TestLstmStep:
     def test_scalar_hand_computation(self):
         p = LstmParams.zeros(1, 1)
         p.u[3:] = 1.0  # candidate block
-        out, _ = lstm_run(p, np.array([[[1.0]]]), [1], init=LstmState.zeros(1, 1))
+        out, _ = lstm_run(p, np.array([[1.0]]), [1], init=LstmState.zeros(1, 1))
         assert out.c[0, 0] == pytest.approx(SCALAR_C, abs=1e-12)
         assert out.h[0, 0] == pytest.approx(SCALAR_H, abs=1e-12)
 
@@ -74,24 +66,24 @@ class TestLstmStep:
             u=rng.normal(size=(8, 3)),
             b=np.zeros(8),
         )
-        out, _ = lstm_run(p, np.zeros((1, 1, 3)), [1], init=LstmState.zeros(1, 2))
+        out, _ = lstm_run(p, np.zeros((1, 3)), [1], init=LstmState.zeros(1, 2))
         np.testing.assert_array_equal(out.h[0], np.zeros(2))
 
     def test_gate_ranges(self, rng):
         p = LstmParams.init_uniform(3, 4, -0.5, 0.5, rng)
         xs = rng.normal(size=(6, 3))
-        _, tape = lstm_run(p, xs[None], [6])
-        sigmoid_gates, c_tilde = tape.gates[0, :, :12], tape.gates[0, :, 12:]
+        _, tape = lstm_run(p, xs, [6], record=True)
+        sigmoid_gates, c_tilde = tape.gates[:, :12], tape.gates[:, 12:]
         assert np.all(sigmoid_gates > 0.0) and np.all(sigmoid_gates < 1.0)
         assert np.all(np.abs(c_tilde) < 1.0)
-        assert np.all(np.abs(np.tanh(tape.c[0, 1:])) < 1.0)
+        assert np.all(np.abs(np.tanh(tape.c)) < 1.0)
 
     def test_shape_errors(self):
         p = LstmParams.zeros(3, 2)
         with pytest.raises(ShapeError):
-            lstm_run(p, np.zeros((1, 1, 4)), [1], init=LstmState.zeros(1, 2))
+            lstm_run(p, np.zeros((1, 4)), [1], init=LstmState.zeros(1, 2))
         with pytest.raises(ShapeError):
-            lstm_run(p, np.zeros((1, 1, 3)), [1], init=LstmState.zeros(1, 5))
+            lstm_run(p, np.zeros((1, 3)), [1], init=LstmState.zeros(1, 5))
 
 
 class TestLstmRunFrozen:
@@ -100,43 +92,27 @@ class TestLstmRunFrozen:
         xs = rng.normal(size=(4, 3))
         state = LstmState.zeros(1, 2)
         for t in range(4):
-            state, _ = lstm_run(p, xs[None, t : t + 1], [1], init=state)
-        final, _ = lstm_run(p, xs[None], [4])
+            state, _ = lstm_run(p, xs[t : t + 1], [1], init=state)
+        final, _ = lstm_run(p, xs, [4])
         np.testing.assert_array_equal(final.h, state.h)
         np.testing.assert_array_equal(final.c, state.c)
 
-    def test_frozen_tail_keeps_state(self, rng):
-        p = LstmParams.init_uniform(3, 2, -0.5, 0.5, rng)
-        xs = rng.normal(size=(5, 3))
-        short, _ = lstm_run(p, xs[None, :2], [2])
-        frozen, _ = lstm_run(p, xs[None], [2])
-        np.testing.assert_array_equal(short.h, frozen.h)
-        np.testing.assert_array_equal(short.c, frozen.c)
-
-    def test_padding_invariance_bitwise(self, rng):
-        p = LstmParams.init_uniform(4, 3, -0.5, 0.5, rng)
-        xs = rng.normal(size=(3, 4))
-        a, _ = lstm_run(p, zero_padded(xs, 5), [3])
-        b, _ = lstm_run(p, zero_padded(xs, 50), [3])
-        np.testing.assert_array_equal(a.h, b.h)
-        np.testing.assert_array_equal(a.c, b.c)
-
     def test_rejects_bad_lengths(self, rng):
         p = LstmParams.zeros(3, 2)
-        xs = np.zeros((1, 4, 3))
+        xs = np.zeros((4, 3))
         with pytest.raises(ValueError):
             lstm_run(p, xs, [0])
         with pytest.raises(ValueError):
             lstm_run(p, xs, [5])
         with pytest.raises(ValueError):
-            lstm_run(p, xs[:, :1], [3])
+            lstm_run(p, xs[:1], [3])
 
 
 class TestLstmBackward:
     def test_zero_upstream_zero_grads(self, rng):
         p = LstmParams.init_uniform(3, 2, -0.5, 0.5, rng)
         xs = rng.normal(size=(4, 3))
-        _, tape = lstm_run(p, xs[None], [4])
+        _, tape = lstm_run(p, xs, [4], record=True)
         grads, input_grads, dh0, dc0 = lstm_run_backward(
             p, tape, np.zeros((1, 2)), np.zeros((1, 2))
         )
@@ -148,34 +124,19 @@ class TestLstmBackward:
     def test_scalar_cell_finite_difference(self):
         p = LstmParams.zeros(1, 1)
         p.u[3:] = 1.0  # candidate block
-        xs = np.array([[[1.0]]])
+        xs = np.array([[1.0]])
 
         def loss():
             final, _ = lstm_run(p, xs, [1])
             return float(final.h[0, 0])
 
-        _, tape = lstm_run(p, xs, [1])
+        _, tape = lstm_run(p, xs, [1], record=True)
         grads, _, _, _ = lstm_run_backward(p, tape, np.ones((1, 1)), np.zeros((1, 1)))
         for name, target in (("w", p.w), ("u", p.u), ("b", p.b)):
             numeric = numeric_gradient(loss, target)
             analytic = grads.arrays()[name]
             failures = compare_grads(name, analytic, numeric, rel_tol=1e-6)
             assert not failures, failures
-
-    def test_frozen_run_matches_unpadded_gradients(self, rng):
-        p = LstmParams.init_uniform(3, 2, -0.5, 0.5, rng)
-        xs = rng.normal(size=(5, 3))
-        dh, dc = rng.normal(size=(1, 2)), rng.normal(size=(1, 2))
-        _, tape_short = lstm_run(p, xs[None, :2], [2])
-        _, tape_frozen = lstm_run(p, xs[None], [2])
-        g_short, in_short, dh0_s, dc0_s = lstm_run_backward(p, tape_short, dh, dc)
-        g_frozen, in_frozen, dh0_f, dc0_f = lstm_run_backward(p, tape_frozen, dh, dc)
-        for a, b in zip(g_short.arrays().values(), g_frozen.arrays().values()):
-            np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(in_short, in_frozen[:, :2])
-        assert np.all(in_frozen[:, 2:] == 0.0)
-        np.testing.assert_array_equal(dh0_s, dh0_f)
-        np.testing.assert_array_equal(dc0_s, dc0_f)
 
     def test_matches_per_step_reference(self, rng):
         # the per-step loop with outer products, read from the tape's
@@ -184,14 +145,16 @@ class TestLstmBackward:
         xs = rng.normal(size=(7, 4))
         in_mask, rec_mask = rng.uniform(0.5, 1.5, size=4), rng.uniform(0.5, 1.5, size=3)
         dh_final, dc_final = rng.normal(size=3), rng.normal(size=3)
-        _, tape = lstm_run(p, xs[None], [5], in_mask=in_mask, rec_mask=rec_mask)
+        _, tape = lstm_run(p, xs[:5], [5], in_mask=in_mask, rec_mask=rec_mask,
+                           record=True)
 
         ref = LstmParams.zeros(4, 3)
-        ref_inputs = np.zeros((7, 4))
+        ref_inputs = np.zeros((5, 4))
         dh, dc = dh_final.copy(), dc_final.copy()
+        cs = np.concatenate((tape.c0, tape.c))  # c_0 .. c_5 of the one row
         for t in range(4, -1, -1):
-            f, i, o, c_tilde = np.split(tape.gates[0, t], 4)
-            c_prev, tanh_c = tape.c[0, t], np.tanh(tape.c[0, t + 1])
+            f, i, o, c_tilde = np.split(tape.gates[t], 4)
+            c_prev, tanh_c = cs[t], np.tanh(cs[t + 1])
             do = dh * tanh_c
             dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
             dz = np.concatenate((
@@ -200,8 +163,8 @@ class TestLstmBackward:
                 do * o * (1.0 - o),
                 dc * i * (1.0 - c_tilde * c_tilde),
             ))
-            ref.w += np.outer(dz, tape.h_in[0, t])
-            ref.u += np.outer(dz, tape.x_in[0, t])
+            ref.w += np.outer(dz, tape.h_in[t])
+            ref.u += np.outer(dz, tape.x_in[t])
             ref.b += dz
             ref_inputs[t] = (p.u.T @ dz) * in_mask
             dh = (p.w.T @ dz) * rec_mask
@@ -212,14 +175,14 @@ class TestLstmBackward:
         )
         for name, a in grads.arrays().items():
             np.testing.assert_allclose(a, ref.arrays()[name], rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(input_grads[0], ref_inputs, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(input_grads, ref_inputs, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(dh0[0], dh, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(dc0[0], dc, rtol=1e-12, atol=1e-15)
 
     def test_tape_params_mismatch(self, rng):
         p = LstmParams.init_uniform(3, 2, -0.5, 0.5, rng)
         other = LstmParams.zeros(4, 2)
-        _, tape = lstm_run(p, rng.normal(size=(1, 3, 3)), [3])
+        _, tape = lstm_run(p, rng.normal(size=(3, 3)), [3], record=True)
         with pytest.raises(ShapeError):
             lstm_run_backward(other, tape, np.zeros((1, 2)), np.zeros((1, 2)))
 
@@ -250,6 +213,10 @@ class TestStackedGemv:
             # one step of every row, a strided view as in the run's loop
             step = _gemv(a, rows[:, 2])
             assert np.array_equal(step, np.array([a @ r for r in rows[:, 2]]))
+            # written into a block of a larger array, as the run writes its tape
+            tape = np.zeros((9, a.shape[0]))
+            _gemv(a, rows[:, 2], out=tape[2:8])
+            assert np.array_equal(tape[2:8], step)
 
 
 class TestBatchedRun:
@@ -259,6 +226,7 @@ class TestBatchedRun:
         p = LstmParams.init_uniform(3, 4, -0.5, 0.5, rng)
         rows = len(self.LENGTHS)
         xs = rng.normal(size=(rows, 9, 3))
+        xs = xs[np.arange(9) < np.array(self.LENGTHS)[:, None]]  # the real steps
         init = LstmState(rng.normal(size=(rows, 4)), rng.normal(size=(rows, 4)))
         shape = (rows,) if per_row_masks else ()
         masks = (rng.uniform(0.5, 1.5, size=shape + (3,)),
@@ -273,29 +241,38 @@ class TestBatchedRun:
     def test_rows_match_one_row_runs(self, rng, per_row_masks):
         p, xs, init, (in_mask, rec_mask) = self.make_case(rng, per_row_masks)
         final, tape = lstm_run(p, xs, self.LENGTHS, init=init,
-                               in_mask=in_mask, rec_mask=rec_mask)
+                               in_mask=in_mask, rec_mask=rec_mask, record=True)
         dh, dc = rng.normal(size=(2, len(self.LENGTHS), 4))
         grads, in_grads, dh0, dc0 = lstm_run_backward(p, tape, dh, dc)
+        # the tape's step arrays, row after row like the input
+        h_in, gates, cs = (a[tape.index] for a in (tape.h_in, tape.gates, tape.c))
+        c0 = tape.c0[np.argsort(tape.order)]  # in the caller's row order
 
         ref = LstmParams.zeros(3, 4)
+        stop = 0
         for r, n in enumerate(self.LENGTHS):
+            start, stop = stop, stop + n
             one_final, one = lstm_run(
-                p, xs[r : r + 1], [n],
+                p, xs[start:stop], [n],
                 init=LstmState(init.h[r : r + 1], init.c[r : r + 1]),
                 in_mask=self.one_row(in_mask, r), rec_mask=self.one_row(rec_mask, r),
+                record=True,
             )
             np.testing.assert_array_equal(final.h[r], one_final.h[0])
             np.testing.assert_array_equal(final.c[r], one_final.c[0])
-            np.testing.assert_array_equal(tape.h_in[r, :n], one.h_in[0])
-            np.testing.assert_array_equal(tape.gates[r, :n], one.gates[0])
-            np.testing.assert_array_equal(tape.c[r, : n + 1], one.c[0])
+            np.testing.assert_array_equal(h_in[start:stop], one.h_in)
+            np.testing.assert_array_equal(gates[start:stop], one.gates)
+            np.testing.assert_array_equal(c0[r], one.c0[0])
+            np.testing.assert_array_equal(cs[start:stop], one.c)
 
             g, one_in, one_dh0, one_dc0 = lstm_run_backward(
                 p, one, dh[r : r + 1], dc[r : r + 1]
             )
             for name, a in g.arrays().items():
                 ref.arrays()[name] += a
-            np.testing.assert_allclose(in_grads[r], one_in[0], rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(
+                in_grads[start:stop], one_in, rtol=1e-12, atol=1e-15
+            )
             np.testing.assert_allclose(dh0[r], one_dh0[0], rtol=1e-12, atol=1e-15)
             np.testing.assert_allclose(dc0[r], one_dc0[0], rtol=1e-12, atol=1e-15)
         for name, a in grads.arrays().items():
@@ -319,10 +296,13 @@ class TestBatchedRun:
             None if shape is None else rng.uniform(0.5, 1.5, size=shape + (dim,))
             for dim in (d_in, d_out)
         )
-        final, _ = lstm_run(p, xs, lengths, in_mask=in_mask, rec_mask=rec_mask)
         real_steps = xs[np.arange(xs.shape[1]) < np.array(lengths)[:, None]]
-        h = lstm_run_final(p, real_steps, lengths, in_mask=in_mask, rec_mask=rec_mask)
-        assert np.array_equal(h, final.h)
+        final, _ = lstm_run(p, real_steps, lengths, in_mask=in_mask,
+                            rec_mask=rec_mask, record=True)
+        h, tape = lstm_run(p, real_steps, lengths, in_mask=in_mask, rec_mask=rec_mask)
+        assert tape is None
+        assert np.array_equal(h.h, final.h)
+        assert np.array_equal(h.c, final.c)
 
     def test_three_rows_against_finite_differences(self):
         report = check_lstm_config(3, 2, (3, 1, 5), seed=17)
@@ -331,21 +311,18 @@ class TestBatchedRun:
 
     def test_rejects_mismatched_rows(self, rng):
         p = LstmParams.zeros(3, 2)
-        xs = rng.normal(size=(2, 4, 3))
-        with pytest.raises(ShapeError):
-            lstm_run(p, xs, [4])
-        with pytest.raises(ShapeError):
-            lstm_run(p, xs, [4, 2], in_mask=np.ones((3, 3)))
-        with pytest.raises(ShapeError):
-            lstm_run(p, xs, [4, 2], rec_mask=np.ones(3))
-        with pytest.raises(ShapeError):
-            lstm_run(p, xs, [4, 2], in_mask=np.ones((1, 3)))
         steps = rng.normal(size=(6, 3))
         with pytest.raises(ShapeError):
-            lstm_run_final(p, steps, [4, 2], in_mask=np.ones((1, 3)))
+            lstm_run(p, steps, [4])
         with pytest.raises(ShapeError):
-            lstm_run_final(p, steps, [4, 3])
+            lstm_run(p, steps, [4, 2], in_mask=np.ones((3, 3)))
         with pytest.raises(ShapeError):
-            lstm_run_final(p, xs, [4, 2])
+            lstm_run(p, steps, [4, 2], rec_mask=np.ones(3))
+        with pytest.raises(ShapeError):
+            lstm_run(p, steps, [4, 2], in_mask=np.ones((1, 3)))
+        with pytest.raises(ShapeError):
+            lstm_run(p, steps, [4, 3])
+        with pytest.raises(ShapeError):
+            lstm_run(p, steps.reshape(2, 3, 3), [4, 2])
         with pytest.raises(ValueError):
-            lstm_run_final(p, steps, [6, 0])
+            lstm_run(p, steps, [6, 0])

@@ -336,13 +336,14 @@ class TestTapeFreeRuns:
     @pytest.fixture
     def runs(self, monkeypatch):
         levels = []
-        run = authverify.encoder.lstm_run_final
+        run = authverify.encoder.lstm_run
 
         def counting(params, *args, **kwargs):
-            levels.append(1 if params.d_in == 3 else 2)
+            if not kwargs.get("record"):
+                levels.append(1 if params.d_in == 3 else 2)
             return run(params, *args, **kwargs)
 
-        monkeypatch.setattr(authverify.encoder, "lstm_run_final", counting)
+        monkeypatch.setattr(authverify.encoder, "lstm_run", counting)
         return levels
 
     def make_case(self, repeats=1):
