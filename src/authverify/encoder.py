@@ -5,22 +5,23 @@ word LSTM's final hidden state); level 2 runs over the sentence
 embeddings and its final hidden state is the document embedding.  Both
 levels start from zero states.
 
-Every encoding takes the same path: the real word vectors of a list of
-documents are gathered into one array, level 1 is one `lstm_run` with a
-row per sentence of every document, and level 2 is one `lstm_run` with a
-row per document.  Each row's matrix-vector products are separate gemv
-calls, so every document gets the bits it would get encoded alone.
-`encode_document_training` encodes one document and keeps the tapes
-`encoder_backward` walks back through; `embed_documents` encodes a whole
-list without tapes, and every embedding that needs no gradient goes
-through it, `encode_document` included.  Variational dropout masks, when
-given, multiply the input and recurrent activations at every step of a
-sequence; one level-1 mask pair is shared by all sentences of a
-document.
+Every encoding takes the same path, `encode_documents`: the real word
+vectors of a list of documents are gathered into one array, level 1 is
+one `lstm_run` with a row per sentence of every document, and level 2 is
+one `lstm_run` with a row per document.  Each row's matrix-vector
+products are separate gemv calls, so every document gets the bits it
+would get encoded alone.  Training encodes a batch with tapes, and
+`document_gradients` walks each level back once for all of it;
+`encode_document_training` and `encoder_backward` are the one-document
+case.  Embeddings that need no gradient go through `embed_documents`.
+Variational dropout masks, when given, multiply the input and recurrent
+activations at every step of a sequence; one level-1 mask pair is
+shared by all sentences of a document.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,9 +29,9 @@ import numpy as np
 from .lstm import (
     LstmParams,
     LstmTape,
+    input_gradients,
     lstm_backward_dz,
     lstm_run,
-    lstm_run_backward,
     param_gradients,
 )
 from .numeric import ShapeError
@@ -42,10 +43,12 @@ __all__ = [
     "DocumentTape",
     "init_encoder_params",
     "sample_dropout_masks",
+    "encode_documents",
     "embed_documents",
     "encode_document",
     "encode_document_training",
     "encoder_backward",
+    "document_gradients",
 ]
 
 
@@ -96,12 +99,8 @@ class EncoderParams:
 
     def add_(self, other: "EncoderParams") -> None:
         """In-place element-wise accumulation (gradient summing)."""
-        self.level1.w += other.level1.w
-        self.level1.u += other.level1.u
-        self.level1.b += other.level1.b
-        self.level2.w += other.level2.w
-        self.level2.u += other.level2.u
-        self.level2.b += other.level2.b
+        for mine, theirs in zip(self.arrays().values(), other.arrays().values()):
+            mine += theirs
 
 
 def init_encoder_params(
@@ -168,17 +167,17 @@ def sample_dropout_masks(
 
 @dataclass
 class DocumentTape:
-    """Forward caches of a whole document encoding, for encoder_backward."""
+    """Forward caches of an encoding of documents, for document_gradients."""
 
     level1_tape: LstmTape = field(repr=False)  # one row per sentence
-    level2_tape: LstmTape = field(repr=False)  # one row over the sentence embeddings
+    level2_tape: LstmTape = field(repr=False)  # one row per document
 
 
-def _encode(
+def encode_documents(
     params: EncoderParams,
     docs: list[EncodedDocument],
-    masks: list[DropoutMasks] | None,
-    record: bool,
+    masks: list[DropoutMasks] | None = None,
+    record: bool = False,
 ) -> tuple[np.ndarray, DocumentTape | None]:
     """Embeddings (len(docs), d_d) of documents in two runs, with both
     runs' tapes if `record`.
@@ -223,7 +222,8 @@ def encode_document_training(
     masks: DropoutMasks | None = None,
 ) -> tuple[np.ndarray, DocumentTape]:
     """Document embedding plus the tape bundle needed for the backward pass."""
-    x, tape = _encode(params, [doc], None if masks is None else [masks], record=True)
+    masks = None if masks is None else [masks]
+    x, tape = encode_documents(params, [doc], masks, record=True)
     return x[0], tape
 
 
@@ -237,7 +237,7 @@ def embed_documents(
     masks[j])[0]` bit for bit."""
     if not docs:
         return np.empty((0, params.d_d))
-    return _encode(params, docs, masks, record=False)[0]
+    return encode_documents(params, docs, masks)[0]
 
 
 def encode_document(
@@ -255,19 +255,32 @@ def encoder_backward(
     tape: DocumentTape,
     d_xd: np.ndarray,
 ) -> EncoderParams:
-    """Exact parameter gradients of a scalar loss given dL/d(document embedding).
+    """Exact parameter gradients of a scalar loss given dL/d(document
+    embedding), from the tape of one document (`document_gradients`)."""
+    return next(document_gradients(params, tape, d_xd[None]))
 
-    Level-2 input gradients become the upstream hidden-state gradients of
-    the sentence rows of level 1, which walks back through every sentence
-    at once; word-vector gradients are never formed because the
-    embeddings are pretrained, not trained here.  A tape recorded with
-    other dimensions raises ShapeError from `lstm_backward_dz`.
+
+def document_gradients(
+    params: EncoderParams, tape: DocumentTape, d_x: np.ndarray
+) -> Iterator[EncoderParams]:
+    """Exact parameter gradients of a scalar loss given dL/d(embedding)
+    of each encoded document, (n, d_d): one EncoderParams per document,
+    in order, each formed only when asked for.
+
+    Each level is walked back once for all documents, spending the tapes;
+    level 2's input gradients are the upstream hidden-state gradients of
+    level 1's sentence rows (word vectors are pretrained, so get none).  A
+    document's gradients come from its own rows, with the bits of it
+    encoded and walked back alone.  Other dimensions raise ShapeError.
     """
-    zero_d = np.zeros((1, params.d_d), dtype=params.level1.w.dtype)
-    grads2, d_sent, _, _ = lstm_run_backward(
-        params.level2, tape.level2_tape, d_xd[None], zero_d
-    )
-    dz, _, _ = lstm_backward_dz(
-        params.level1, tape.level1_tape, d_sent, np.zeros_like(d_sent)
-    )
-    return EncoderParams(level1=param_gradients(dz, tape.level1_tape), level2=grads2)
+    level1, level2 = tape.level1_tape, tape.level2_tape
+    docs = [slice(j, j + 1) for j in range(len(level2.lengths))]
+    lstm_backward_dz(params.level2, level2, d_x, np.zeros_like(d_x))
+    d_sent = np.concatenate([input_gradients(params.level2, level2, r) for r in docs])
+    lstm_backward_dz(params.level1, level1, d_sent, np.zeros_like(d_sent))
+    ends = np.cumsum(level2.lengths).tolist()  # where each document's sentence rows end
+    for doc, start, stop in zip(docs, [0] + ends, ends):
+        yield EncoderParams(
+            level1=param_gradients(level1, slice(start, stop)),
+            level2=param_gradients(level2, doc),
+        )

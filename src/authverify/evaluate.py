@@ -152,7 +152,6 @@ def calibrate_tau(distances: list[float], labels: list[int]) -> float:
     candidates.append(ordered[-1] + 1.0)
     best_tau = candidates[0]
     best_correct = -1
-    total = len(distances)
     for tau in candidates:
         correct = sum(
             1 for d, label in zip(distances, labels) if (d < tau) == (label == 1)
@@ -282,7 +281,8 @@ def _run_fold(
         rng=rng,
     )
     test_pairs = [
-        encode_instance(instances[i], table, config) for i in split.test_ids
+        encode_instance(instances[i], table, config, pad=False)
+        for i in split.test_ids
     ]
     test_distances, test_labels = pair_distances(result.params, test_pairs)
     counts = counts_at_threshold(

@@ -15,14 +15,15 @@ Rows run together
 There is one forward run, `lstm_run`.  It steps R sequences (rows) of
 different lengths together; one sequence is a run of one row.  Its input
 holds only the real steps, packed row after row, so padding never
-reaches the cell.  It keeps a tape, the record `lstm_backward_dz` walks
-back through, only when asked: training's per-pair pass asks, and every
-embedding that needs no gradient (in-batch negatives, evaluation,
-inference) does not.  Every matrix-vector product is its own gemv call,
-made for all rows by one stacked matmul, so a row gets the bits it would
-get running alone, with or without a tape; a GEMM over the rows would
-sum in another order.  `lstm_backward_dz` walks the rows back together,
-one W^T gemv per row and step.
+reaches the cell.  It keeps a tape only when asked: training asks, for
+every document of a batch at once; embeddings that need no gradient do
+not.  Every matrix-vector product, U x as well as W h, is its own gemv
+call at its step, made for all rows by one stacked matmul, so a row gets
+the bits it would get running alone, with or without a tape; a GEMM over
+the rows would sum in another order.  `lstm_backward_dz` walks the rows
+back together, one W^T gemv per row and step, and leaves each step's dz
+in the tape, from which `param_gradients` and `input_gradients` take the
+gradients of any span of rows by products over that span's steps alone.
 
 Live prefixes
 -------------
@@ -53,6 +54,7 @@ __all__ = [
     "lstm_run_backward",
     "lstm_backward_dz",
     "param_gradients",
+    "input_gradients",
 ]
 
 GATE_ORDER = ("f", "i", "o", "c")
@@ -186,20 +188,14 @@ class LstmTape:
     c0: np.ndarray = field(repr=False)  # (R, d_out): the initial c, stepping order
     in_mask: np.ndarray | None = None  # (d_in,) or (R, d_in)
     rec_mask: np.ndarray | None = None  # (d_out,) or (R, d_out)
-
-    @property
-    def step_in_mask(self) -> np.ndarray | None:
-        """The input mask of every step, row after row like `xs`: a
-        (d_in,) mask as it is, per-row masks as (tokens, d_in)."""
-        mask = self.in_mask
-        return mask if mask is None or mask.ndim == 1 else np.repeat(
-            mask, self.lengths, axis=0
-        )
+    spent: bool = False  # walked back: `gates` holds dz
 
     @property
     def x_in(self) -> np.ndarray:
         """The masked inputs, row after row like `xs`."""
-        mask = self.step_in_mask
+        mask = self.in_mask
+        if mask is not None and mask.ndim == 2:
+            mask = np.repeat(mask, self.lengths, axis=0)
         return self.xs if mask is None else self.xs * mask
 
 
@@ -250,9 +246,9 @@ def lstm_run(
     order of non-increasing length, step t computing only the rows still
     running (see the module docstring).  Returns the state after each
     row's last step, each (R, d_out) in the caller's row order, and the
-    tape if `record`, else None.  Every matrix-vector product is its own
-    gemv call (`_gemv`), so a row gets the same bits whether it runs
-    alone or beside others, with a tape or without.
+    tape if `record`, else None.  Every matrix-vector product, U x too, is
+    its own gemv call (`_gemv`), so a row gets the same bits whether it
+    runs alone or beside others, with a tape or without.
     """
     lengths = np.asarray(lengths)
     if lengths.ndim != 1 or len(lengths) == 0 or lengths.min() < 1:
@@ -299,16 +295,9 @@ def lstm_run(
     h_in = np.empty((kept, d), dtype=dtype)
     gates = np.empty((kept, 4 * d), dtype=dtype)
     cs = np.empty((kept, d), dtype=dtype)
-    tape = None
-    if record:
-        tape = LstmTape(
-            lengths, order, live, index, xs, h_in, gates, cs, c, in_mask, rec_mask
-        )
-        # A taped run (in training, one document) takes U x of every step
-        # in one stacked call before the recurrence, which saves a call per
-        # step; a tape-free run takes it step by step, so a run over many
-        # documents never holds a (tokens, 4*d_out) array.
-        ux = _gemv(params.u, tape.x_in[source])
+    tape = LstmTape(
+        lengths, order, live, index, xs, h_in, gates, cs, c, in_mask, rec_mask
+    ) if record else None
     for k, at_t, first_t in zip(live.tolist(), at.tolist(), first.tolist()):
         block = slice(at_t, at_t + k)
         h_t = h_in[block]
@@ -317,13 +306,10 @@ def lstm_run(
         else:
             np.multiply(h[:k], rec_m[:k], out=h_t)
         g = _gemv(params.w, h_t, out=gates[block])
-        if record:
-            g += ux[block]
-        else:
-            x_t = xs[source[first_t : first_t + k]]
-            if in_m is not None:
-                x_t *= in_m[:k]
-            g += _gemv(params.u, x_t)
+        x_t = xs[source[first_t : first_t + k]]
+        if in_m is not None:
+            x_t *= in_m[:k]
+        g += _gemv(params.u, x_t)
         g += params.b
         # the gates overwrite their preactivations
         sigmoid(g[:, : 3 * d], out=g[:, : 3 * d])
@@ -352,27 +338,44 @@ def lstm_run_backward(
     Given dL/dh_final and dL/dc_final, each (R, d_out), returns
     (parameter gradients as an LstmParams-shaped container, input
     gradients of shape (sum(lengths), d_in), row after row like the run's
-    input, dL/dh_0, dL/dc_0).
+    input, dL/dh_0, dL/dc_0).  The tape is spent (see `lstm_backward_dz`).
     """
-    dz, dh, dc = lstm_backward_dz(params, tape, d_h_final, d_c_final)
-    input_grads = dz @ params.u
-    mask = tape.step_in_mask
+    dh, dc = lstm_backward_dz(params, tape, d_h_final, d_c_final)
+    rows = slice(0, len(tape.lengths))
+    return param_gradients(tape, rows), input_gradients(params, tape, rows), dh, dc
+
+
+def _row_steps(tape: LstmTape, rows: slice):
+    """Packed places, input slice and input mask of the steps of the input
+    rows `rows` of a walked tape, row after row."""
+    if not tape.spent:
+        raise ValueError("a tape holds dz only once lstm_backward_dz has walked it")
+    start = int(tape.lengths[: rows.start].sum())
+    steps = slice(start, start + int(tape.lengths[rows].sum()))
+    mask = tape.in_mask
+    if mask is not None and mask.ndim == 2:
+        mask = np.repeat(mask[rows], tape.lengths[rows], axis=0)
+    return tape.index[steps], steps, mask
+
+
+def param_gradients(tape: LstmTape, rows: slice) -> LstmParams:
+    """Parameter gradients of the input rows `rows` of a walked run: one
+    product each over their own steps in row-major order, so the rows get
+    the bits they would get run and walked back alone."""
+    at, steps, mask = _row_steps(tape, rows)
+    dz = tape.gates[at]
+    x_in = tape.xs[steps] if mask is None else tape.xs[steps] * mask
+    return LstmParams(w=dz.T @ tape.h_in[at], u=dz.T @ x_in, b=dz.sum(axis=0))
+
+
+def input_gradients(params: LstmParams, tape: LstmTape, rows: slice) -> np.ndarray:
+    """Input gradients of the input rows `rows` of a walked run, row after
+    row, by one product over their own steps alone."""
+    at, _, mask = _row_steps(tape, rows)
+    d_x = tape.gates[at] @ params.u
     if mask is not None:
-        input_grads *= mask
-    return param_gradients(dz, tape), input_grads, dh, dc
-
-
-def param_gradients(dz: np.ndarray, tape: LstmTape) -> LstmParams:
-    """Parameter gradients from the preactivation gradients of a run.
-
-    `dz` holds every real step in the run's input order (row 0's steps
-    first), as `lstm_backward_dz` returns it; with the (masked) recurrent
-    and external inputs of the same steps, one matrix product per
-    parameter sums over all of them.
-    """
-    return LstmParams(
-        w=dz.T @ tape.h_in[tape.index], u=dz.T @ tape.x_in, b=dz.sum(axis=0)
-    )
+        d_x *= mask
+    return d_x
 
 
 def lstm_backward_dz(
@@ -380,70 +383,57 @@ def lstm_backward_dz(
     tape: LstmTape,
     d_h_final: np.ndarray,
     d_c_final: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Backpropagation through the real steps of a run, all rows together.
 
-    Returns the gate preactivation gradients dL/dz as a
-    (sum(lengths), 4*d_out) array in GATE_ORDER, row after row like the
-    run's input, then dL/dh_0 and dL/dc_0, each (R, d_out).
-    `param_gradients` turns the first into parameter gradients.  The walk
-    goes back over the forward's live prefixes, so a row's upstream
-    gradients wait unchanged until its last step is reached.  dL/dh goes
-    back through W^T with one gemv per row.
+    Returns dL/dh_0 and dL/dc_0, each (R, d_out), and writes each step's
+    gate preactivation gradients dL/dz (GATE_ORDER) over its gates, which
+    no other step reads; the tape is then spent, and a second walk raises
+    ValueError.  The walk goes back over the forward's live prefixes, so a
+    row's upstream gradients wait unchanged until its last step is
+    reached; each step's local derivatives are taken at the step, and
+    dL/dh goes back through W^T with one gemv per row.
     """
     if tape.xs.shape[1] != params.d_in or tape.h_in.shape[1] != params.d_out:
         raise ShapeError(
             f"tape dims ({tape.xs.shape[1]}, {tape.h_in.shape[1]}) do not match "
             f"params ({params.d_in}, {params.d_out})"
         )
-    rows = len(tape.lengths)
-    shape = (rows, params.d_out)
+    shape = (len(tape.lengths), params.d_out)
     if d_h_final.shape != shape or d_c_final.shape != shape:
         raise ShapeError(f"upstream gradient shapes must be {shape}")
+    if tape.spent:
+        raise ValueError("this tape was walked back already: record the run again")
+    tape.spent = True
 
     d = params.d_out
-    dtype = params.w.dtype
-    order, live = tape.order, tape.live
-    ends = np.cumsum(live)
-    gates = tape.gates
-    f = gates[:, :d]
-    i = gates[:, d : 2 * d]
-    o = gates[:, 2 * d : 3 * d]
-    c_tilde = gates[:, 3 * d :]
-    tanh_c = np.tanh(tape.c)
-    # c entering every step: c_0, then the first live[t] rows of the
-    # block before step t's
-    c_prev = np.concatenate(
-        (tape.c0, tape.c[np.arange(rows, len(f)) - np.repeat(live[:-1], live[1:])])
-    )
-    # local derivatives of every step, taken for all steps at once
-    d_c_from_h = o * (1.0 - tanh_c * tanh_c)
-    d_zf = c_prev * f * (1.0 - f)
-    d_zi = c_tilde * i * (1.0 - i)
-    d_zo = tanh_c * o * (1.0 - o)
-    d_zc = i * (1.0 - c_tilde * c_tilde)
-    dz_steps = np.empty((len(f), 4 * d), dtype=dtype)
-    dh = np.asarray(d_h_final, dtype=dtype)[order]
-    dc = np.asarray(d_c_final, dtype=dtype)[order]
+    order, live = tape.order, tape.live.tolist()
+    ends = np.cumsum(live).tolist()
+    dh = np.asarray(d_h_final, dtype=params.w.dtype)[order]
+    dc = np.asarray(d_c_final, dtype=params.w.dtype)[order]
     rec_m = _in_order(tape.rec_mask, order)
     w_t = params.w.T
 
-    for k, end in zip(live[::-1].tolist(), ends[::-1].tolist()):
-        block = slice(end - k, end)
-        dz = dz_steps[block]
-        np.multiply(dh[:k], d_zo[block], out=dz[:, 2 * d : 3 * d])
-        dc_t = dh[:k] * d_c_from_h[block]
+    for t in range(len(live) - 1, -1, -1):
+        k, end = live[t], ends[t]
+        g = tape.gates[end - k : end]
+        f, i, o, c_tilde = (g[:, j * d : (j + 1) * d] for j in range(4))
+        # c entering the step: c_0, or the first k rows of the step before's
+        c_prev = tape.c0 if t == 0 else tape.c[end - k - live[t - 1] :][:k]
+        tanh_c = np.tanh(tape.c[end - k : end])
+        dc_t = dh[:k] * (o * (1.0 - tanh_c * tanh_c))
         dc_t += dc[:k]
-        np.multiply(dc_t, d_zf[block], out=dz[:, :d])
-        np.multiply(dc_t, d_zi[block], out=dz[:, d : 2 * d])
-        np.multiply(dc_t, d_zc[block], out=dz[:, 3 * d :])
-        dh_t = _gemv(w_t, dz)
-        if rec_m is None:
-            dh[:k] = dh_t
-        else:
-            np.multiply(dh_t, rec_m[:k], out=dh[:k])
-        np.multiply(dc_t, f[block], out=dc[:k])
+        # each gate's dz is written once the step has read that gate
+        np.multiply(dh[:k], tanh_c * o * (1.0 - o), out=o)
+        d_zc = i * (1.0 - c_tilde * c_tilde)
+        np.multiply(dc_t, c_tilde * i * (1.0 - i), out=i)
+        np.multiply(dc_t, d_zc, out=c_tilde)
+        np.multiply(dc_t, f, out=dc[:k])
+        np.multiply(dc_t, c_prev * f * (1.0 - f), out=f)
+        _gemv(w_t, g, out=dh[:k])
+        if rec_m is not None:
+            dh[:k] *= rec_m[:k]
 
     dh_0, dc_0 = np.empty_like(dh), np.empty_like(dc)
     dh_0[order], dc_0[order] = dh, dc
-    return dz_steps[tape.index], dh_0, dc_0
+    return dh_0, dc_0

@@ -327,24 +327,29 @@ def encode_document(
     return EncodedDocument(words, lengths, len(sentences), oov)
 
 
-def join_encoded(parts: list[EncodedDocument | None]) -> EncodedDocument:
+def join_encoded(
+    parts: list[EncodedDocument | None], max_sentences: int | None = None
+) -> EncodedDocument:
     """`encode_document` of texts joined by newlines, from each text's
     `encode_document` at the same caps (None if it segments to nothing):
-    their real sentence rows in order, cut to `max_sentences` and
-    zero-padded; a lone part is returned itself.  Exact because a newline
-    is a hard sentence boundary that no normalization pattern crosses."""
+    their real sentence rows in order, cut to `max_sentences` and, when
+    the caller leaves the cap to the padded parts' row count, zero-padded
+    to it; a lone part is returned itself.  Exact because a newline is a
+    hard sentence boundary that no normalization pattern crosses."""
     parts = [p for p in parts if p is not None]
     if not parts:
         raise EmptyDocumentError("empty document")
     if len(parts) == 1:
         return parts[0]
-    cap, shape = parts[0].max_sentences, parts[0].words.shape
-    rows = np.concatenate([p.words[: p.num_sentences] for p in parts])[:cap]
-    words = np.zeros(shape, dtype=rows.dtype)  # lazily zeroed, unlike zeros_like
-    words[: len(rows)] = rows
+    cap = parts[0].max_sentences if max_sentences is None else max_sentences
+    words = np.concatenate([p.words[: p.num_sentences] for p in parts])[:cap]
+    if max_sentences is None:
+        rows = words
+        words = np.zeros((cap,) + rows.shape[1:], dtype=rows.dtype)  # lazily zeroed
+        words[: len(rows)] = rows
     lengths = np.concatenate([p.sent_lengths for p in parts])[:cap]
     oov = np.concatenate([p.sent_oov for p in parts])[:cap]
-    return EncodedDocument(words, lengths, len(rows), oov)
+    return EncodedDocument(words, lengths, len(lengths), oov)
 
 
 def load_corpus(path: str) -> list[VerificationInstance]:

@@ -23,9 +23,9 @@ import numpy as np
 from .embeddings import EmbeddingTable
 from .encoder import (
     EncoderParams,
+    document_gradients,
     embed_documents,
-    encode_document_training,
-    encoder_backward,
+    encode_documents,
     init_encoder_params,
     sample_dropout_masks,
 )
@@ -222,11 +222,13 @@ def batch_gradients(
     The objective is the mean pair loss plus `config.in_batch_weight`
     times `in_batch_negative_loss` over the 2B document embeddings, where
     the two documents of one pair share an owner.  Fresh dropout masks
-    are drawn for each document, known before unknown, pair by pair.
-    Each document's upstream gradient sums its pair term and its in-batch
-    term, so each document gets one backward pass.  With weight 0 this is
-    the mean over the batch of each pair's contrastive loss and of the sum
-    of its two branch gradients.
+    are drawn for each document, known before unknown, pair by pair.  One
+    taped pass encodes the 2B documents for both terms, and one backward
+    walk per level serves each document's summed upstream gradient.  The
+    gradients are summed known plus unknown, then into the total, pair by
+    pair, so a step holds the batch's tapes but two documents' gradients.
+    With weight 0 this is the mean over the batch of each pair's
+    contrastive loss and of the sum of its two branch gradients.
     """
     if not batch:
         raise ValueError("batch_gradients requires a non-empty batch")
@@ -238,35 +240,27 @@ def batch_gradients(
         [sample_dropout_masks(dims, config.dropout_rate, rng) for _ in docs]
         if config.dropout_rate > 0.0 else None
     )
-    pair_masks = masks or [None] * len(docs)
+    x, tape = encode_documents(params, docs, masks, record=True)
+    upstream = np.empty_like(x)
+    loss_sum = 0.0
+    for k, pair in enumerate(batch):
+        x1, x2 = x[2 * k], x[2 * k + 1]
+        loss_sum += contrastive_loss(x1, x2, pair.label, thresholds)
+        upstream[2 * k : 2 * k + 2] = contrastive_loss_grad(x1, x2, pair.label, thresholds)
     cross_loss = 0.0
-    cross_grad = None
     if config.in_batch_weight > 0.0:
-        # The in-batch term needs every embedding before any backward pass.
-        # They come from one pass that keeps no tape, and each pair is
-        # encoded again below, so a step holds two documents' tapes, not 2B.
-        embeddings = embed_documents(params, docs, masks)
         cross_loss, cross_grad = in_batch_negative_loss(
-            embeddings, np.repeat(np.arange(n), 2), thresholds
+            x, np.repeat(np.arange(n), 2), thresholds
         )
         # the summed gradient is divided by n below
         cross_grad *= n * config.in_batch_weight
+        upstream += cross_grad
 
     total = EncoderParams.zeros(*dims)
-    loss_sum = 0.0
-    for k, pair in enumerate(batch):
-        x1, tape1 = encode_document_training(params, docs[2 * k], pair_masks[2 * k])
-        x2, tape2 = encode_document_training(
-            params, docs[2 * k + 1], pair_masks[2 * k + 1]
-        )
-        loss_sum += contrastive_loss(x1, x2, pair.label, thresholds)
-        g1, g2 = contrastive_loss_grad(x1, x2, pair.label, thresholds)
-        if cross_grad is not None:
-            g1 = g1 + cross_grad[2 * k]
-            g2 = g2 + cross_grad[2 * k + 1]
-        grads = encoder_backward(params, tape1, g1)
-        grads.add_(encoder_backward(params, tape2, g2))
-        total.add_(grads)
+    grads = document_gradients(params, tape, upstream)
+    for known in grads:  # each pair's known side, then its unknown side
+        known.add_(next(grads))
+        total.add_(known)
     mean_loss = loss_sum / n + config.in_batch_weight * cross_loss
     if not np.isfinite(mean_loss):
         raise FloatingPointError(f"non-finite batch loss {mean_loss}")
@@ -365,35 +359,37 @@ def make_cv_splits(
     return splits
 
 
-def _encode(text: str, table: EmbeddingTable, config: TrainConfig) -> EncodedDocument:
-    return encode_document(text, table, config.max_words, config.max_sentences)
+def _encode(text: str, table: EmbeddingTable, config: TrainConfig, pad: bool):
+    return encode_document(text, table, config.max_words, config.max_sentences, pad=pad)
 
 
 def _encode_known(
-    text: str, table: EmbeddingTable, config: TrainConfig
+    text: str, table: EmbeddingTable, config: TrainConfig, pad: bool
 ) -> EncodedDocument | None:
     """One known text's encoding; None when it segments to nothing, since
     it then adds no sentence to the known side."""
     try:
-        return _encode(text, table, config)
+        return _encode(text, table, config, pad)
     except EmptyDocumentError:
         return None
 
 
 def encode_instance(
-    inst: VerificationInstance, table: EmbeddingTable, config: TrainConfig
+    inst: VerificationInstance, table: EmbeddingTable, config: TrainConfig, *, pad=True
 ) -> EncodedPair:
     """Encode both sides of the pair; the known side joins the known
-    documents' encodings in their current order."""
-    known = [_encode_known(text, table, config) for text in inst.known_docs]
-    unknown = _encode(inst.unknown_doc, table, config)
-    return EncodedPair(join_encoded(known), unknown, inst.label)
+    documents' encodings in their current order.  `pad` is passed to
+    `encode_document`: with False, neither side keeps padded rows."""
+    known = [_encode_known(text, table, config, pad) for text in inst.known_docs]
+    unknown = _encode(inst.unknown_doc, table, config, pad)
+    cap = None if pad else config.max_sentences
+    return EncodedPair(join_encoded(known, cap), unknown, inst.label)
 
 
 # Pairs embedded together by `pair_distances`: one batch of the default
-# config, so scoring a large set holds no more at once than the in-batch
-# pass of a training step (`embed_documents` copies the real word vectors
-# of every document it is given).
+# config, so scoring a large set holds no more word vectors at once than
+# the taped pass of a training step (`embed_documents` copies the real
+# word vectors of every document it is given).
 EVAL_CHUNK_PAIRS = 32
 
 
@@ -503,13 +499,13 @@ def fit(
     opt_state = AdadeltaState.zeros_like(params.arrays())
     thresholds = config.thresholds
 
-    dev_pairs = [encode_instance(inst, table, config) for inst in dev_instances]
-    # each text is encoded once; every epoch joins the known sides anew
+    # each text is encoded once, unpadded; every epoch joins the known sides anew
+    dev_pairs = [encode_instance(x, table, config, pad=False) for x in dev_instances]
     known_rows = [
-        [_encode_known(t, table, config) for t in inst.known_docs]
+        [_encode_known(t, table, config, False) for t in inst.known_docs]
         for inst in train_instances
     ]
-    unknowns = [_encode(inst.unknown_doc, table, config) for inst in train_instances]
+    unknowns = [_encode(x.unknown_doc, table, config, False) for x in train_instances]
 
     log: list[dict] = []
     best_params = params.copy()
@@ -522,7 +518,7 @@ def fit(
         started = time.perf_counter()
         known = augment_epoch(known_rows, rng)
         pairs = [
-            EncodedPair(join_encoded(k), u, inst.label)
+            EncodedPair(join_encoded(k, config.max_sentences), u, inst.label)
             for k, u, inst in zip(known, unknowns, train_instances)
         ]
         order = rng.permutation(len(pairs))

@@ -273,8 +273,9 @@ class TestEncoderBackward:
         _, tape = encode_document_training(params, doc, masks)
         grads = encoder_backward(params, tape, d_xd)
 
+        _, ref_tape = encode_document_training(params, doc, masks)
         _, d_sent, _, _ = lstm_run_backward(
-            params.level2, tape.level2_tape, d_xd[None], np.zeros((1, 2))
+            params.level2, ref_tape.level2_tape, d_xd[None], np.zeros((1, 2))
         )
         ref = LstmParams.zeros(3, 4)
         for k, n in enumerate(doc.sent_lengths):

@@ -8,6 +8,7 @@ from authverify.lstm import (
     _gemv,
     lstm_run,
     lstm_run_backward,
+    param_gradients,
     sigmoid,
 )
 from authverify.numeric import ShapeError, make_rng
@@ -186,6 +187,18 @@ class TestLstmBackward:
         with pytest.raises(ShapeError):
             lstm_run_backward(other, tape, np.zeros((1, 2)), np.zeros((1, 2)))
 
+    def test_spent_tape_refuses_a_second_walk(self, rng):
+        # the walk writes dz over the gates: gradients need the walk first,
+        # and a second walk, which would read dz as gates, raises
+        p = LstmParams.init_uniform(3, 2, -0.5, 0.5, rng)
+        _, tape = lstm_run(p, rng.normal(size=(5, 3)), [3, 2], record=True)
+        with pytest.raises(ValueError, match="walked"):
+            param_gradients(tape, slice(0, 2))
+        dh, dc = rng.normal(size=(2, 2, 2))
+        lstm_run_backward(p, tape, dh, dc)
+        with pytest.raises(ValueError, match="walked back already"):
+            lstm_run_backward(p, tape, dh, dc)
+
     def test_random_configs_against_finite_differences(self):
         rng = make_rng(2024)
         for _ in range(5):
@@ -243,10 +256,11 @@ class TestBatchedRun:
         final, tape = lstm_run(p, xs, self.LENGTHS, init=init,
                                in_mask=in_mask, rec_mask=rec_mask, record=True)
         dh, dc = rng.normal(size=(2, len(self.LENGTHS), 4))
-        grads, in_grads, dh0, dc0 = lstm_run_backward(p, tape, dh, dc)
-        # the tape's step arrays, row after row like the input
+        # the tape's step arrays, row after row like the input, read before
+        # the walk writes dz over the gates
         h_in, gates, cs = (a[tape.index] for a in (tape.h_in, tape.gates, tape.c))
         c0 = tape.c0[np.argsort(tape.order)]  # in the caller's row order
+        grads, in_grads, dh0, dc0 = lstm_run_backward(p, tape, dh, dc)
 
         ref = LstmParams.zeros(3, 4)
         stop = 0

@@ -308,6 +308,35 @@ class TestJoinEncoded:
         assert joined.token_count == expected.token_count
         assert joined.oov_count == expected.oov_count
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        texts=st.lists(FUZZ_TEXT, min_size=1, max_size=3),
+        max_words=st.integers(1, 6),
+        max_sentences=st.integers(1, 5),
+    )
+    def test_unpadded_join_is_the_real_rows_of_the_padded_join(
+        self, texts, max_words, max_sentences
+    ):
+        table = fuzz_table()
+
+        def encode(text, pad):
+            try:
+                return encode_document(text, table, max_words, max_sentences, pad=pad)
+            except EmptyDocumentError:
+                return None
+
+        padded = [encode(t, True) for t in texts]
+        if all(p is None for p in padded):
+            return
+        expected = join_encoded(padded)
+        joined = join_encoded([encode(t, False) for t in texts], max_sentences)
+        n = expected.num_sentences
+        assert joined.num_sentences == n
+        assert joined.words.shape == (n, max_words, table.dim)
+        assert joined.words.tobytes() == expected.words[:n].tobytes()
+        assert joined.sent_lengths.tobytes() == expected.sent_lengths.tobytes()
+        assert joined.sent_oov.tobytes() == expected.sent_oov.tobytes()
+
 
 class TestEncodedDocumentValidation:
     def test_rejects_zero_sentences(self):

@@ -17,13 +17,18 @@ from authverify.encoder import (
 from authverify.gradcheck import compare_grads, numeric_gradient
 from authverify.lstm import LstmParams
 from authverify.numeric import clip_by_global_norm, make_rng
-from authverify.preprocess import EmptyDocumentError, VerificationInstance
+from authverify.preprocess import (
+    EmptyDocumentError,
+    VerificationInstance,
+    join_encoded,
+)
 from authverify.preprocess import encode_document as encode_text
 from authverify.siamese import (
     Thresholds,
     contrastive_loss,
     contrastive_loss_grad,
     distance,
+    in_batch_negative_loss,
 )
 from authverify.train import (
     AdadeltaState,
@@ -65,6 +70,46 @@ def pair_gradients(
     grads = encoder_backward(params, tape1, g1)
     grads.add_(encoder_backward(params, tape2, g2))
     return loss, grads
+
+
+def per_document_gradients(
+    params: EncoderParams, batch: list[EncodedPair], config: TrainConfig, rng
+) -> tuple[float, EncoderParams]:
+    """`batch_gradients` with `in_batch_weight` > 0, one document at a
+    time: each document encoded alone with a tape and its own dropout
+    masks (drawn known before unknown, pair by pair), the in-batch
+    gradient added to its pair gradient, each walked back alone, and the
+    gradients summed known plus unknown, then into the total, pair by
+    pair."""
+    dims = (config.d_w, config.d_s, config.d_d)
+    thresholds = config.thresholds
+    n = len(batch)
+    docs = [doc for pair in batch for doc in (pair.known, pair.unknown)]
+    encoded = [
+        encode_document_training(
+            params, doc,
+            sample_dropout_masks(dims, config.dropout_rate, rng)
+            if config.dropout_rate > 0.0 else None,
+        )
+        for doc in docs
+    ]
+    x = np.stack([e for e, _ in encoded])
+    cross_loss, cross_grad = in_batch_negative_loss(
+        x, np.repeat(np.arange(n), 2), thresholds
+    )
+    cross_grad *= n * config.in_batch_weight
+    total = EncoderParams.zeros(*dims)
+    loss_sum = 0.0
+    for k, pair in enumerate(batch):
+        (x1, tape1), (x2, tape2) = encoded[2 * k], encoded[2 * k + 1]
+        loss_sum += contrastive_loss(x1, x2, pair.label, thresholds)
+        g1, g2 = contrastive_loss_grad(x1, x2, pair.label, thresholds)
+        grads = encoder_backward(params, tape1, g1 + cross_grad[2 * k])
+        grads.add_(encoder_backward(params, tape2, g2 + cross_grad[2 * k + 1]))
+        total.add_(grads)
+    for a in total.arrays().values():
+        a /= n
+    return loss_sum / n + config.in_batch_weight * cross_loss, total
 
 
 def tiny_config(**kw):
@@ -328,10 +373,38 @@ class TestBatchGradients:
             for k in state:
                 assert state[k].tobytes() == ref[k].tobytes(), k
 
+    def test_default_recipe_matches_per_document_passes_bitwise(self):
+        # in-batch negatives and dropout: documents of 1-3 sentences, known
+        # sides joined from two texts (padded, and unpadded at cap 3)
+        rng = make_rng(36)
+        params = init_encoder_params(3, 2, 2, -0.5, 0.5, rng=rng)
+
+        def doc(*lengths, pad=True):
+            return random_doc(rng, 3, list(lengths), 3, 3 if pad else len(lengths))
+
+        batch = [
+            EncodedPair(join_encoded([doc(2, 1), doc(3)]), doc(1), 1),
+            EncodedPair(doc(3, 2, 1), doc(2, 3), 0),
+            EncodedPair(join_encoded([doc(1, pad=False), doc(2, 2, pad=False)], 3),
+                        doc(1, 3, pad=False), 1),
+            EncodedPair(doc(1), doc(3, 1), 0),
+        ]
+        # every pair and cross pair active in both terms
+        config = tiny_config(dropout_rate=0.3, in_batch_weight=2.0, tau1=1e-3, tau2=9.0)
+        loss, grads = batch_gradients(params, batch, config, make_rng(0))
+        ref_loss, ref = per_document_gradients(params, batch, config, make_rng(0))
+        assert loss == ref_loss
+        assert loss != batch_gradients(
+            params, batch, config.updated(in_batch_weight=0.0), make_rng(0)
+        )[0]
+        for name, a in grads.arrays().items():
+            assert a.tobytes() == ref.arrays()[name].tobytes(), name
+
 
 class TestTapeFreeRuns:
-    """An embedding pass that needs no gradient takes one tape-free run
-    per level for all its documents, not two per document."""
+    """An embedding pass takes one run per level for all its documents,
+    not two per document: tape-free where no gradient is needed, taped
+    in training."""
 
     @pytest.fixture
     def runs(self, monkeypatch):
@@ -352,21 +425,21 @@ class TestTapeFreeRuns:
         batch = [p for _ in range(repeats) for p in TestBatchGradients().make_batch(rng)]
         return params, batch
 
-    def test_one_run_per_level_per_in_batch_pass(self, runs, monkeypatch):
+    @pytest.mark.parametrize("weight", [0.0, 2.0])
+    def test_one_taped_run_per_level_per_batch(self, monkeypatch, weight):
+        # the in-batch term reads the taped pass's embeddings
+        runs = []
+        run = authverify.encoder.lstm_run
+
+        def counting(params, *args, **kwargs):
+            runs.append((1 if params.d_in == 3 else 2, kwargs.get("record")))
+            return run(params, *args, **kwargs)
+
+        monkeypatch.setattr(authverify.encoder, "lstm_run", counting)
         params, batch = self.make_case()
-        taped = []
-        encode = authverify.train.encode_document_training
-
-        def counting(*args, **kwargs):
-            taped.append(args[1])
-            return encode(*args, **kwargs)
-
-        monkeypatch.setattr(authverify.train, "encode_document_training", counting)
-        config = tiny_config(dropout_rate=0.3, in_batch_weight=2.0)
+        config = tiny_config(dropout_rate=0.3, in_batch_weight=weight)
         batch_gradients(params, batch, config, make_rng(0))
-        assert runs == [1, 2]
-        # only the per-pair pass keeps a tape: each document once
-        assert len(taped) == 2 * len(batch)
+        assert runs == [(1, True), (2, True)]
 
     @pytest.mark.parametrize("repeats", [1, 9])
     def test_one_run_per_level_per_chunk_of_pairs(self, runs, repeats):
@@ -510,11 +583,13 @@ class TestAugmentEpoch:
             knowns = {
                 encode_instance(
                     VerificationInstance(list(docs), inst.unknown_doc, inst.label),
-                    table, config,
+                    table, config, pad=False,
                 ).known.words.tobytes()
                 for docs in itertools.permutations(inst.known_docs)
             }
-            unknown = encode_instance(inst, table, config).unknown.words.tobytes()
+            unknown = encode_instance(
+                inst, table, config, pad=False
+            ).unknown.words.tobytes()
             expected.append((unknown, inst.label, knowns))
         batches = []
         step = authverify.train.train_step
@@ -626,6 +701,33 @@ class TestFit:
         assert len(result.log) == 3
         texts = [t for x in train + dev for t in x.known_docs + [x.unknown_doc]]
         assert sorted(calls) == sorted(texts)
+
+    def test_encodings_are_unpadded(self, monkeypatch):
+        # no text, joined known side or dev pair keeps padded sentence rows
+        train, dev = self.make_data()
+        texts, pairs = [], []
+        step, distances = authverify.train.train_step, authverify.train.pair_distances
+
+        def encoding(*args, **kwargs):
+            texts.append(encode_text(*args, **kwargs))
+            return texts[-1]
+
+        def recording(params, opt_state, batch, *args):
+            pairs.extend(batch)
+            return step(params, opt_state, batch, *args)
+
+        def measuring(params, dev_pairs):
+            pairs.extend(dev_pairs)
+            return distances(params, dev_pairs)
+
+        monkeypatch.setattr(authverify.train, "encode_document", encoding)
+        monkeypatch.setattr(authverify.train, "train_step", recording)
+        monkeypatch.setattr(authverify.train, "pair_distances", measuring)
+        fit(train, dev, word_table(), tiny_config())
+        docs = texts + [d for p in pairs for d in (p.known, p.unknown)]
+        assert len(pairs) == len(train + dev) * 2  # two epochs
+        assert any(d.num_sentences < tiny_config().max_sentences for d in docs)
+        assert all(d.words.shape[0] == d.num_sentences for d in docs)
 
     def test_dev_distances_are_those_of_the_best_params(self):
         train, dev = self.make_data()

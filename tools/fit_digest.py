@@ -10,7 +10,15 @@ Prints one JSON line of sha256 digests:
   300/150/75, dropout 0.3, so every document has its own masks) on the
   first split of a 20-instance 300-d corpus of ten-sentence documents,
   one known text each: 16 pairs in one batch, 2 dev pairs, the shape
-  of perfbench's train-paper workload;
+  of perfbench's train-paper workload.  On 8 pairs (16 documents) of
+  the same corpus, the script also checks that `batch_gradients` under
+  `TrainConfig()` (dropout 0.3, in-batch weight 8), with initial weights
+  drawn from [-0.2, 0.2) so that most pairs and cross pairs lie between
+  tau1 and tau2, gives the loss and gradient bytes of
+  `per_document_gradients` from `tests/test_train.py`, which encodes and
+  walks back each document alone; it exits non-zero on any mismatch.
+  The tests make that comparison only at 3/2/2 dims, where BLAS may
+  take other kernels;
 - `cv`: criterion 7's `cross_validate` report (its corpus,
   `bench_config().updated(max_epochs=2, patience=2)`, seed 42,
   `threads=1`) with its `config` object removed; `cv_config_keys` lists that
@@ -32,7 +40,7 @@ Run it against any source tree and compare the lines:
 
     PYTHONPATH=<tree>/src python tools/fit_digest.py
 
-It takes about 45 s on a 2-CPU host.  It is not part of the test
+It takes about 15 s on a 2-CPU host.  It is not part of the test
 suite.
 """
 
@@ -48,6 +56,7 @@ TESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests")
 sys.path.insert(0, TESTS)
 
 from test_acceptance import bench_config  # noqa: E402
+from test_train import per_document_gradients  # noqa: E402
 
 import authverify as av  # noqa: E402
 from authverify.synthetic import (  # noqa: E402
@@ -88,6 +97,21 @@ def fit_digest(instances, table, config) -> str:
     return h.hexdigest()
 
 
+def check_per_document(instances, table) -> None:
+    config = av.TrainConfig(init_lo=-0.2, init_hi=0.2)
+    pairs = [av.encode_instance(x, table, config, pad=False) for x in instances[:8]]
+    params = av.init_encoder_params(
+        config.d_w, config.d_s, config.d_d, config.init_lo, config.init_hi,
+        rng=av.make_rng(0),
+    )
+    loss, grads = av.batch_gradients(params, pairs, config, av.make_rng(1))
+    ref_loss, ref = per_document_gradients(params, pairs, config, av.make_rng(1))
+    if loss != ref_loss or any(
+        a.tobytes() != ref.arrays()[k].tobytes() for k, a in grads.arrays().items()
+    ):
+        sys.exit("batch_gradients differs from per-document passes at the paper dims")
+
+
 def verify_digest(tmp: str) -> str:
     instances, table = load_table(
         tmp, SyntheticSpec(emb_dim=300, n_instances=20, min_known=2, max_known=2),
@@ -123,6 +147,7 @@ def main() -> None:
         out["fit_paper_dims"] = fit_digest(
             instances, table, av.TrainConfig(max_epochs=1, patience=1)
         )
+        check_per_document(instances, table)
         instances, table = load_table(tmp, SyntheticSpec(n_instances=120), seed=11)
         cv_config = bench_config().updated(max_epochs=2, patience=2, seed=42)
         report = av.cross_validate(instances, table, cv_config, k=10, threads=1)
