@@ -5,8 +5,8 @@ word LSTM's final hidden state); level 2 runs over the sentence
 embeddings and its final hidden state is the document embedding.  Both
 levels start from zero states.
 
-Every encoding takes the same path, `encode_documents`: the real word
-vectors of a list of documents are gathered into one array, level 1 is
+Every encoding takes the same path, `encode_documents`: the word vectors
+of a list of documents are gathered by token id into one array, level 1 is
 one `lstm_run` with a row per sentence of every document, and level 2 is
 one `lstm_run` with a row per document.  Each row's matrix-vector
 products are separate gemv calls, so every document gets the bits it
@@ -182,19 +182,13 @@ def encode_documents(
     """Embeddings (len(docs), d_d) of documents in two runs, with both
     runs' tapes if `record`.
 
-    Level 1's input is the real word vectors gathered into one
-    (tokens, d_w) array; `masks`, one DropoutMasks per document, become
-    per-row masks of both runs.
+    Level 1's input is the documents' word vectors gathered by token id
+    into one (tokens, d_w) array; `masks`, one DropoutMasks per document,
+    become per-row masks of both runs.
     """
     counts = np.array([doc.num_sentences for doc in docs])
     lengths = np.concatenate([doc.sent_lengths for doc in docs])
-    words = np.empty((lengths.sum(), params.d_w))
-    start = 0
-    for doc in docs:
-        real = np.arange(doc.words.shape[1]) < doc.sent_lengths[:, None]
-        stop = start + doc.token_count
-        words[start:stop] = doc.words[: doc.num_sentences][real]
-        start = stop
+    words = np.concatenate([doc.matrix[doc.ids] for doc in docs])
     if masks is None:
         level1_masks = level2_masks = (None, None)
     else:

@@ -24,12 +24,13 @@ from .preprocess import VerificationInstance, encode_document
 from .siamese import PairScore, Thresholds, decide, distance
 from .train import (
     ConfusionCounts,
+    EncodedInstance,
     EncodedPair,
     FitResult,
     TrainConfig,
     counts_at_threshold,
-    encode_instance,
-    fit,
+    encode_texts,
+    fit_encoded,
     make_cv_splits,
     pair_distances,
 )
@@ -267,29 +268,24 @@ class CvReport:
 
 def _run_fold(
     split,
-    instances: list[VerificationInstance],
-    table: EmbeddingTable,
+    encoded: list[EncodedInstance],
     config: TrainConfig,
     seed_seq: np.random.SeedSequence,
 ) -> FoldResult:
     rng = make_rng(seed_seq)
-    result: FitResult = fit(
-        [instances[i] for i in split.train_ids],
-        [instances[i] for i in split.dev_ids],
-        table,
+    result: FitResult = fit_encoded(
+        [encoded[i] for i in split.train_ids],
+        [encoded[i] for i in split.dev_ids],
         config,
         rng=rng,
     )
-    test_pairs = [
-        encode_instance(instances[i], table, config, pad=False)
-        for i in split.test_ids
-    ]
+    test_pairs = [encoded[i].joined(config.max_sentences) for i in split.test_ids]
     test_distances, test_labels = pair_distances(result.params, test_pairs)
     counts = counts_at_threshold(
         test_distances, test_labels, config.thresholds.midpoint
     )
 
-    dev_labels = [instances[i].label for i in split.dev_ids]
+    dev_labels = [encoded[i].label for i in split.dev_ids]
     tau = calibrate_tau(result.dev_distances, dev_labels)
     counts_cal = counts_at_threshold(test_distances, test_labels, tau)
 
@@ -305,7 +301,7 @@ def _run_fold(
     )
 
 
-# The fold inputs of one fold worker process: (splits, instances, table,
+# The fold inputs of one fold worker process: (splits, encoded instances,
 # config, fold_seeds).  `_init_fold_worker` sets it in each worker; the
 # parent never does.
 _fold_inputs: tuple
@@ -317,8 +313,8 @@ def _init_fold_worker(*fold_inputs) -> None:
 
 
 def _run_worker_fold(i: int) -> FoldResult:
-    splits, instances, table, config, fold_seeds = _fold_inputs
-    return _run_fold(splits[i], instances, table, config, fold_seeds[i])
+    splits, encoded, config, fold_seeds = _fold_inputs
+    return _run_fold(splits[i], encoded, config, fold_seeds[i])
 
 
 def cross_validate(
@@ -331,12 +327,14 @@ def cross_validate(
     """k-fold cross-validation: fit on train with dev early stopping, then
     test each fold's held-out instances at the midpoint threshold.
 
-    With `threads` > 1 the folds run in min(threads, k) worker processes
-    started by POSIX `fork`, which inherit the inputs rather than receive
-    them pickled; call it from the main thread of a process that can
-    fork.  Every fold derives its own random stream from the config seed,
-    so the report is identical whether folds run serially or in workers;
-    folds are aggregated in index order either way.
+    Every text is encoded once, unpadded (`encode_texts`), before the
+    folds; each fold joins its pairs from those encodings.  With
+    `threads` > 1 the folds run in min(threads, k) worker processes
+    started by POSIX `fork`, which inherit the encodings rather than
+    receive them pickled; call it from the main thread of a process that
+    can fork.  Every fold derives its own random stream from the config
+    seed, so the report is identical whether folds run serially or in
+    workers; folds are aggregated in index order either way.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
@@ -345,6 +343,7 @@ def cross_validate(
     fold_seeds = np.random.SeedSequence(
         entropy=config.seed, spawn_key=(1,)
     ).spawn(k)
+    encoded = [encode_texts(x, table, config) for x in instances]
 
     workers = min(threads, k)
     if workers > 1:
@@ -355,12 +354,12 @@ def cross_validate(
             max_workers=workers,
             mp_context=multiprocessing.get_context("fork"),
             initializer=_init_fold_worker,
-            initargs=(splits, instances, table, config, fold_seeds),
+            initargs=(splits, encoded, config, fold_seeds),
         ) as pool:
             folds = list(pool.map(_run_worker_fold, range(k)))
     else:
         folds = [
-            _run_fold(splits[i], instances, table, config, fold_seeds[i])
+            _run_fold(splits[i], encoded, config, fold_seeds[i])
             for i in range(k)
         ]
     return CvReport(folds=folds, seed=config.seed, config=config)

@@ -1,8 +1,11 @@
-"""Raw text to padded numeric encoder input.
+"""Raw text to encoder input: token ids into one embedding matrix.
 
 Pipeline: noise normalization with universal tokens, rule-based sentence
-segmentation, tokenization, embedding lookup, truncation and padding to
-fixed (max sentences, max words per sentence) bounds.
+segmentation, tokenization, truncation to (max sentences, max words per
+sentence) bounds, and resolution of each kept token to its row of the
+embedding table's matrix.  A document is stored as those ids and its
+sentence lengths; the padded tensor of its word vectors is built only
+when asked for (`EncodedDocument.words`).
 
 The normalization and segmentation rules are deliberately simple,
 versioned patterns (no external NLP dependency):
@@ -28,6 +31,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -233,59 +237,70 @@ def concatenate_known(instance: VerificationInstance, order: list[int]) -> str:
     return "\n".join(instance.known_docs[k] for k in order)
 
 
-@dataclass
 class EncodedDocument:
-    """Padded numeric form of one document.
+    """One document as token ids into one embedding matrix.
 
-    words: (max_sentences, max_words, dim) tensor, zero in every padded
-    position.  sent_lengths holds the true token count of each real
-    sentence and sent_oov its out-of-vocabulary count (zeros if not
-    given); num_sentences is the true sentence count.
+    ids: (token_count,) rows of `matrix` (rows, dim), sentence after
+    sentence, with row 0 the OOV vector; sent_lengths holds the token
+    count of each real sentence (1 to max_words) and sent_oov its
+    out-of-vocabulary count (zeros if not given).  `words` is built on
+    demand: the (max_sentences, max_words, dim) tensor of word vectors,
+    zero in every padded position.  The id form is built by
+    `encode_document` and `join_encoded`, and is not checked again.
+
+    `EncodedDocument(words, sent_lengths, num_sentences)` takes such a
+    tensor instead, checked: its real vectors, packed behind a zero row,
+    become the document's own matrix.
     """
 
-    words: np.ndarray
-    sent_lengths: np.ndarray
-    num_sentences: int
-    sent_oov: np.ndarray | None = None
+    def __init__(self, words=None, sent_lengths=None, num_sentences=None, sent_oov=None,
+                 *, ids=None, matrix=None, max_words=0, max_sentences=0) -> None:
+        if words is not None:
+            if words.ndim != 3 or sent_lengths.shape != (num_sentences,):
+                raise ValueError(f"words {words.shape} must be 3-D, sent_lengths "
+                                 f"{sent_lengths.shape} ({num_sentences},)")
+            max_sentences, max_words, dim = words.shape
+            if not 1 <= num_sentences <= max_sentences:
+                raise ValueError(
+                    f"num_sentences {num_sentences} outside [1, {max_sentences}]"
+                )
+            if np.any(sent_lengths < 1) or np.any(sent_lengths > max_words):
+                raise ValueError("per-sentence lengths must lie in [1, max_words]")
+            real = np.arange(max_words) < sent_lengths[:, None]
+            matrix = np.concatenate([np.zeros((1, dim)), words[:num_sentences][real]])
+            ids = np.arange(1, len(matrix))
+        self.ids = ids
+        self.sent_lengths = sent_lengths
+        self.matrix = matrix
+        self.max_words = max_words
+        self.max_sentences = max_sentences
+        if sent_oov is None:
+            sent_oov = np.zeros(len(sent_lengths), dtype=np.int64)
+        self.sent_oov = sent_oov
 
-    def __post_init__(self) -> None:
-        if self.words.ndim != 3:
-            raise ValueError(f"words must be 3-D, got shape {self.words.shape}")
-        if not 1 <= self.num_sentences <= self.words.shape[0]:
-            raise ValueError(
-                f"num_sentences {self.num_sentences} outside [1, {self.words.shape[0]}]"
-            )
-        if self.sent_lengths.shape != (self.num_sentences,):
-            raise ValueError(
-                f"sent_lengths shape {self.sent_lengths.shape} must be "
-                f"({self.num_sentences},)"
-            )
-        if np.any(self.sent_lengths < 1) or np.any(
-            self.sent_lengths > self.words.shape[1]
-        ):
-            raise ValueError("per-sentence lengths must lie in [1, max_words]")
-        if self.sent_oov is None:
-            self.sent_oov = np.zeros(self.num_sentences, dtype=np.int64)
+    @property
+    def words(self) -> np.ndarray:
+        """A new zero-padded (max_sentences, max_words, dim) word tensor."""
+        words = np.zeros((self.max_sentences, self.max_words, self.dim))
+        real = np.arange(self.max_words) < self.sent_lengths[:, None]
+        words[: self.num_sentences][real] = self.matrix[self.ids]
+        return words
+
+    @property
+    def num_sentences(self) -> int:
+        return len(self.sent_lengths)
 
     @property
     def token_count(self) -> int:
-        return int(self.sent_lengths.sum())
+        return len(self.ids)
 
     @property
     def oov_count(self) -> int:
         return int(self.sent_oov.sum())
 
     @property
-    def max_sentences(self) -> int:
-        return self.words.shape[0]
-
-    @property
-    def max_words(self) -> int:
-        return self.words.shape[1]
-
-    @property
     def dim(self) -> int:
-        return self.words.shape[2]
+        return self.matrix.shape[1]
 
 
 def encode_document(
@@ -296,35 +311,29 @@ def encode_document(
     *,
     pad: bool = True,
 ) -> EncodedDocument:
-    """Normalize, segment, tokenize, and resolve a document to its padded
-    tensor of word vectors.
+    """Normalize, segment, tokenize, and resolve a document to token ids
+    into `table.matrix`.
 
     Keeps the first max_sentences sentences and the first max_words
-    tokens of each; the output shape is always exactly
-    (max_sentences, max_words, table.dim).  With pad=False the tensor
-    holds only the real sentence rows, (num_sentences, max_words,
-    table.dim): every row the encoder reads, with the same values.  At
-    the paper's dims a padded tensor is 9.7 MB, which numpy asks the
-    kernel to back with 2 MB huge pages when it can, so the resident
-    size of a padded document depends on the host's free huge pages.
+    tokens of each.  `pad` sets only the row count of the document's
+    `words` view: exactly (max_sentences, max_words, table.dim), or with
+    pad=False (num_sentences, max_words, table.dim), every row the
+    encoder reads.
     """
     if max_words < 1 or max_sentences < 1:
         raise ValueError("max_words and max_sentences must be >= 1")
     sentences = segment_sentences(normalize_text(text))
     if not sentences:
         raise EmptyDocumentError("empty document")
-    sentences = sentences[:max_sentences]
-    rows = max_sentences if pad else len(sentences)
-    words = np.zeros((rows, max_words, table.dim))
-    lengths = np.zeros(len(sentences), dtype=np.int64)
-    oov = np.zeros(len(sentences), dtype=np.int64)
-    for k, sentence in enumerate(sentences):
-        tokens = tokenize(sentence)[:max_words]
-        lengths[k] = len(tokens)
-        oov[k] = sum(token not in table for token in tokens)
-        for t, token in enumerate(tokens):
-            words[k, t] = table.lookup(token)
-    return EncodedDocument(words, lengths, len(sentences), oov)
+    tokens = [tokenize(sentence)[:max_words] for sentence in sentences[:max_sentences]]
+    lengths = np.array([len(t) for t in tokens])
+    ids = np.array(table.ids(chain.from_iterable(tokens)), dtype=np.int32)
+    starts = np.cumsum(lengths) - lengths
+    oov = np.add.reduceat(ids == 0, starts, dtype=np.int64)
+    return EncodedDocument(
+        sent_lengths=lengths, sent_oov=oov, ids=ids, matrix=table.matrix,
+        max_words=max_words, max_sentences=max_sentences if pad else len(tokens),
+    )
 
 
 def join_encoded(
@@ -332,24 +341,29 @@ def join_encoded(
 ) -> EncodedDocument:
     """`encode_document` of texts joined by newlines, from each text's
     `encode_document` at the same caps (None if it segments to nothing):
-    their real sentence rows in order, cut to `max_sentences` and, when
-    the caller leaves the cap to the padded parts' row count, zero-padded
-    to it; a lone part is returned itself.  Exact because a newline is a
-    hard sentence boundary that no normalization pattern crosses."""
+    their sentences in order, cut to `max_sentences` and, when the caller
+    leaves the cap to the padded parts' row count, padded to it; a lone
+    part is returned itself.  Exact because a newline is a hard sentence
+    boundary that no normalization pattern crosses.  The parts must index
+    one matrix."""
     parts = [p for p in parts if p is not None]
     if not parts:
         raise EmptyDocumentError("empty document")
     if len(parts) == 1:
         return parts[0]
+    matrix = parts[0].matrix
+    if any(p.matrix is not matrix for p in parts):
+        raise ValueError("parts index different embedding matrices")
     cap = parts[0].max_sentences if max_sentences is None else max_sentences
-    words = np.concatenate([p.words[: p.num_sentences] for p in parts])[:cap]
-    if max_sentences is None:
-        rows = words
-        words = np.zeros((cap,) + rows.shape[1:], dtype=rows.dtype)  # lazily zeroed
-        words[: len(rows)] = rows
     lengths = np.concatenate([p.sent_lengths for p in parts])[:cap]
-    oov = np.concatenate([p.sent_oov for p in parts])[:cap]
-    return EncodedDocument(words, lengths, len(lengths), oov)
+    return EncodedDocument(
+        sent_lengths=lengths,
+        sent_oov=np.concatenate([p.sent_oov for p in parts])[:cap],
+        ids=np.concatenate([p.ids for p in parts])[: lengths.sum()],
+        matrix=matrix,
+        max_words=parts[0].max_words,
+        max_sentences=cap if max_sentences is None else len(lengths),
+    )
 
 
 def load_corpus(path: str) -> list[VerificationInstance]:

@@ -51,14 +51,17 @@ __all__ = [
     "AdadeltaState",
     "CvSplit",
     "EncodedPair",
+    "EncodedInstance",
     "FitResult",
     "adadelta_update",
     "batch_gradients",
     "train_step",
     "augment_epoch",
     "make_cv_splits",
+    "encode_texts",
     "encode_instance",
     "fit",
+    "fit_encoded",
 ]
 
 
@@ -359,19 +362,37 @@ def make_cv_splits(
     return splits
 
 
-def _encode(text: str, table: EmbeddingTable, config: TrainConfig, pad: bool):
-    return encode_document(text, table, config.max_words, config.max_sentences, pad=pad)
+class EncodedInstance(NamedTuple):
+    """An instance's texts, each encoded once: the known texts in their
+    order (None for one that segments to nothing), the unknown text, and
+    the label."""
+
+    known: list[EncodedDocument | None]
+    unknown: EncodedDocument
+    label: int
+
+    def joined(self, max_sentences: int | None) -> EncodedPair:
+        """The pair, its known side joined by `join_encoded` in the
+        known texts' current order."""
+        known = join_encoded(self.known, max_sentences)
+        return EncodedPair(known, self.unknown, self.label)
 
 
-def _encode_known(
-    text: str, table: EmbeddingTable, config: TrainConfig, pad: bool
-) -> EncodedDocument | None:
-    """One known text's encoding; None when it segments to nothing, since
-    it then adds no sentence to the known side."""
-    try:
-        return _encode(text, table, config, pad)
-    except EmptyDocumentError:
-        return None
+def encode_texts(
+    inst: VerificationInstance, table: EmbeddingTable, config: TrainConfig, pad=False
+) -> EncodedInstance:
+    """Every text of the instance encoded once; `pad` is passed to
+    `encode_document`.  A known text that segments to nothing becomes
+    None, since it adds no sentence to the known side."""
+    caps = (config.max_words, config.max_sentences)
+    known = []
+    for text in inst.known_docs:
+        try:
+            known.append(encode_document(text, table, *caps, pad=pad))
+        except EmptyDocumentError:
+            known.append(None)
+    unknown = encode_document(inst.unknown_doc, table, *caps, pad=pad)
+    return EncodedInstance(known, unknown, inst.label)
 
 
 def encode_instance(
@@ -380,10 +401,8 @@ def encode_instance(
     """Encode both sides of the pair; the known side joins the known
     documents' encodings in their current order.  `pad` is passed to
     `encode_document`: with False, neither side keeps padded rows."""
-    known = [_encode_known(text, table, config, pad) for text in inst.known_docs]
-    unknown = _encode(inst.unknown_doc, table, config, pad)
-    cap = None if pad else config.max_sentences
-    return EncodedPair(join_encoded(known, cap), unknown, inst.label)
+    encoded = encode_texts(inst, table, config, pad)
+    return encoded.joined(None if pad else config.max_sentences)
 
 
 # Pairs embedded together by `pair_distances`: one batch of the default
@@ -477,18 +496,31 @@ def fit(
     config: TrainConfig,
     rng: np.random.Generator | None = None,
 ) -> FitResult:
-    """Train until development accuracy stops improving.
+    """Train until development accuracy stops improving: `fit_encoded` on
+    every text encoded once, unpadded (`encode_texts`)."""
+    train = [encode_texts(x, table, config) for x in train_instances]
+    dev = [encode_texts(x, table, config) for x in dev_instances]
+    return fit_encoded(train, dev, config, rng)
+
+
+def fit_encoded(
+    train: list[EncodedInstance],
+    dev: list[EncodedInstance],
+    config: TrainConfig,
+    rng: np.random.Generator | None = None,
+) -> FitResult:
+    """The training body of `fit`, on instances encoded by `encode_texts`.
 
     Each epoch redraws the known-document concatenation order (data
-    augmentation), shuffles mini-batches, and logs train loss, dev loss,
-    dev accuracy at the midpoint threshold, mean gradient norm, and wall
-    time.  The parameters kept are the ones from the best-dev-accuracy
-    epoch; training stops after `patience` epochs without improvement or
-    at max_epochs.
+    augmentation), joins the known sides anew, shuffles mini-batches, and
+    logs train loss, dev loss, dev accuracy at the midpoint threshold,
+    mean gradient norm, and wall time.  The parameters kept are the ones
+    from the best-dev-accuracy epoch; training stops after `patience`
+    epochs without improvement or at max_epochs.
     """
-    if not train_instances:
+    if not train:
         raise ValueError("empty train set")
-    if not dev_instances:
+    if not dev:
         raise ValueError("empty dev set")
     if rng is None:
         rng = make_rng(config.seed)
@@ -498,14 +530,7 @@ def fit(
     )
     opt_state = AdadeltaState.zeros_like(params.arrays())
     thresholds = config.thresholds
-
-    # each text is encoded once, unpadded; every epoch joins the known sides anew
-    dev_pairs = [encode_instance(x, table, config, pad=False) for x in dev_instances]
-    known_rows = [
-        [_encode_known(t, table, config, False) for t in inst.known_docs]
-        for inst in train_instances
-    ]
-    unknowns = [_encode(x.unknown_doc, table, config, False) for x in train_instances]
+    dev_pairs = [x.joined(config.max_sentences) for x in dev]
 
     log: list[dict] = []
     best_params = params.copy()
@@ -516,11 +541,9 @@ def fit(
 
     for epoch in range(1, config.max_epochs + 1):
         started = time.perf_counter()
-        known = augment_epoch(known_rows, rng)
-        pairs = [
-            EncodedPair(join_encoded(k, config.max_sentences), u, inst.label)
-            for k, u, inst in zip(known, unknowns, train_instances)
-        ]
+        known = augment_epoch([x.known for x in train], rng)
+        pairs = [x._replace(known=k).joined(config.max_sentences)
+                 for k, x in zip(known, train)]
         order = rng.permutation(len(pairs))
         loss_sum = 0.0
         norm_sum = 0.0

@@ -71,6 +71,14 @@ class TestLoadEmbeddings:
         assert table.duplicate_count == 1
         np.testing.assert_array_equal(table.lookup("a"), np.array([3.0, 4.0]))
 
+    def test_matrix_rows_in_file_order_behind_the_oov_row(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        write_lines(path, ["b 1.0 2.0", "", "a 3.0 4.0", "b 5.0 6.0"])
+        table = load_embeddings(str(path), 2)
+        assert table.rows == {"b": 1, "a": 2}
+        assert table.matrix.tolist() == [[0.0, 0.0], [5.0, 6.0], [3.0, 4.0]]
+        assert table.oov_vector.base is table.matrix.base
+
 
 class TestLookup:
     def make_table(self):
@@ -110,6 +118,21 @@ class TestLookup:
             2, {"a": np.zeros(2)}, oov_vector=np.array([9.0, 9.0])
         )
         np.testing.assert_array_equal(table.lookup("zzz"), np.array([9.0, 9.0]))
+
+    def test_rows_resolve_exact_then_lowercase_then_oov(self):
+        oov = np.array([9.0, 9.0])
+        table = EmbeddingTable(
+            2,
+            {"Cat": np.array([1.0, 2.0]), "cat": np.array([5.0, 6.0]),
+             "dog": np.array([3.0, 4.0])},
+            oov_vector=oov,
+        )
+        rows = {"Cat": 1, "cat": 2, "CAT": 2, "DOG": 3, "bird": 0, "Bird": 0}
+        assert table.ids(rows) == list(rows.values())
+        assert table.matrix[0].tobytes() == oov.tobytes()
+        for token, row in rows.items():
+            assert table.lookup(token).tobytes() == table.matrix[row].tobytes()
+        assert table.lookup("bird") is table.oov_vector
 
     def test_dim_validation(self):
         with pytest.raises(ValueError):

@@ -69,12 +69,13 @@ class TestEncodeDocument:
         )
         lengths = [2, 4, 1]
         tight = random_doc(make_rng(0), 3, lengths, max_words=4, max_sentences=3)
+        words = np.zeros((123, 33, 3))
+        words[:3, :4] = tight.words
         padded = EncodedDocument(
-            words=np.zeros((123, 33, 3)),
+            words=words,
             sent_lengths=tight.sent_lengths.copy(),
             num_sentences=3,
         )
-        padded.words[:3, :4] = tight.words
         a = encode_document(params, tight)
         b = encode_document(params, padded)
         np.testing.assert_array_equal(a, b)
@@ -224,12 +225,13 @@ class TestEncoderBackward:
         params, _ = self.make_setup(seed=5)
         rng = make_rng(6)
         one = random_doc(rng, 3, [2], max_words=2, max_sentences=1)
+        words = np.zeros((7, 2, 3))
+        words[0] = one.words[0]
         padded = EncodedDocument(
-            words=np.zeros((7, 2, 3)),
+            words=words,
             sent_lengths=one.sent_lengths.copy(),
             num_sentences=1,
         )
-        padded.words[0] = one.words[0]
         d_xd = np.array([0.3, -0.7])
         for doc_a, doc_b in ((one, padded),):
             _, tape_a = encode_document_training(params, doc_a)

@@ -1,10 +1,12 @@
 import json
 import multiprocessing
+import os
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import authverify.evaluate
 import authverify.train
 from authverify.embeddings import EmbeddingTable
 from authverify.encoder import encode_document as embed_document
@@ -253,18 +255,22 @@ class TestCrossValidate:
         b = cross_validate(small_corpus(), word_table(), quick_cv_config(), k=4)
         assert a.to_json() == b.to_json()
 
-    def test_each_text_encoded_once_per_fold(self, monkeypatch):
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_each_text_encoded_once(self, monkeypatch, threads):
+        # a fold worker that encodes a text raises, and its fold re-raises here
         corpus = small_corpus()
-        calls = []
+        parent, calls = os.getpid(), []
 
         def counting(text, *args, **kwargs):
+            if os.getpid() != parent:
+                raise AssertionError("a fold worker encoded a text")
             calls.append(text)
             return encode_text(text, *args, **kwargs)
 
         monkeypatch.setattr(authverify.train, "encode_document", counting)
-        cross_validate(corpus, word_table(), quick_cv_config(), k=4)
+        cross_validate(corpus, word_table(), quick_cv_config(), k=4, threads=threads)
         texts = Counter(t for x in corpus for t in x.known_docs + [x.unknown_doc])
-        assert Counter(calls) == Counter({t: 4 * n for t, n in texts.items()})
+        assert Counter(calls) == texts
 
     def test_threaded_matches_sequential(self):
         # (2, 8): more workers asked for than there are folds
@@ -281,6 +287,24 @@ class TestCrossValidate:
         corpus[5] = VerificationInstance(corpus[5].known_docs, "", corpus[5].label)
         with pytest.raises(EmptyDocumentError):
             cross_validate(corpus, word_table(), quick_cv_config(), k=4, threads=2)
+        assert multiprocessing.active_children() == []
+
+    def test_fold_failing_in_a_worker_reraises_and_leaves_no_worker(
+        self, monkeypatch
+    ):
+        run_fold = authverify.evaluate._run_fold
+
+        def failing(split, *args):
+            if split.fold_index == 2:
+                raise FloatingPointError(f"fold 2 failed in process {os.getpid()}")
+            return run_fold(split, *args)
+
+        monkeypatch.setattr(authverify.evaluate, "_run_fold", failing)
+        with pytest.raises(FloatingPointError, match="fold 2") as failure:
+            cross_validate(
+                small_corpus(), word_table(), quick_cv_config(), k=4, threads=2
+            )
+        assert int(str(failure.value).split()[-1]) != os.getpid()
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("threads", [0, -1])

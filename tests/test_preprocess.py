@@ -276,6 +276,62 @@ def fuzz_table():
     return EmbeddingTable(3, {t: rng.uniform(-1, 1, 3) for t in vocab})
 
 
+def lookup_words(text, table, max_words, max_sentences, pad):
+    """`EncodedDocument.words` by one `table.lookup` per kept token."""
+    sentences = segment_sentences(normalize_text(text))[:max_sentences]
+    rows = max_sentences if pad else len(sentences)
+    words = np.zeros((rows, max_words, table.dim))
+    for k, sentence in enumerate(sentences):
+        for t, token in enumerate(tokenize(sentence)[:max_words]):
+            words[k, t] = table.lookup(token)
+    return words
+
+
+class TestTokenIds:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        text=FUZZ_TEXT,
+        max_words=st.integers(1, 6),
+        max_sentences=st.integers(1, 5),
+        pad=st.booleans(),
+    )
+    def test_words_are_the_looked_up_vectors(
+        self, text, max_words, max_sentences, pad
+    ):
+        # a non-zero OOV vector, and "Beta" beside its lowercase form
+        rng = make_rng(10)
+        vocab = ["alpha", "beta", "Beta", "word", "кошка", "<url>", ".", ","]
+        table = EmbeddingTable(
+            3, {t: rng.uniform(-1, 1, 3) for t in vocab}, np.array([7.0, -7.0, 0.5])
+        )
+        try:
+            enc = encode_document(text, table, max_words, max_sentences, pad=pad)
+        except EmptyDocumentError:
+            return
+        expected = lookup_words(text, table, max_words, max_sentences, pad)
+        assert enc.words.shape == expected.shape
+        assert enc.words.tobytes() == expected.tobytes()
+        assert enc.matrix is table.matrix
+        assert enc.oov_count == int(np.sum(enc.ids == 0))
+
+    def test_tensor_form_keeps_its_real_vectors(self):
+        rng = make_rng(4)
+        words = np.zeros((4, 3, 2))
+        words[0, :2] = rng.uniform(-1, 1, (2, 2))
+        words[1, :3] = rng.uniform(-1, 1, (3, 2))
+        doc = EncodedDocument(
+            words=words, sent_lengths=np.array([2, 3]), num_sentences=2
+        )
+        assert doc.token_count == 5 and doc.matrix[0].tolist() == [0.0, 0.0]
+        assert doc.words.tobytes() == words.tobytes()
+
+    def test_join_rejects_parts_over_different_matrices(self, tiny_table):
+        other = EmbeddingTable(3, {"the": np.ones(3)})
+        parts = [encode_document("The cat.", t, 5, 5) for t in (tiny_table, other)]
+        with pytest.raises(ValueError, match="different embedding matrices"):
+            join_encoded(parts)
+
+
 class TestJoinEncoded:
     @settings(max_examples=500, deadline=None, derandomize=True)
     @given(

@@ -19,6 +19,7 @@ from authverify.lstm import LstmParams
 from authverify.numeric import clip_by_global_norm, make_rng
 from authverify.preprocess import (
     EmptyDocumentError,
+    EncodedDocument,
     VerificationInstance,
     join_encoded,
 )
@@ -110,6 +111,20 @@ def per_document_gradients(
     for a in total.arrays().values():
         a /= n
     return loss_sum / n + config.in_batch_weight * cross_loss, total
+
+
+def one_matrix(docs):
+    """The documents with their word vectors moved into one matrix, which
+    they then share as the encodings of one embedding table do."""
+    matrix = np.concatenate([np.zeros((1, docs[0].dim))] + [d.matrix[d.ids] for d in docs])
+    ends = np.cumsum([d.token_count for d in docs]) + 1
+    return [
+        EncodedDocument(
+            sent_lengths=d.sent_lengths, ids=np.arange(end - d.token_count, end),
+            matrix=matrix, max_words=d.max_words, max_sentences=d.max_sentences,
+        )
+        for d, end in zip(docs, ends)
+    ]
 
 
 def tiny_config(**kw):
@@ -382,12 +397,16 @@ class TestBatchGradients:
         def doc(*lengths, pad=True):
             return random_doc(rng, 3, list(lengths), 3, 3 if pad else len(lengths))
 
+        docs = one_matrix([
+            doc(2, 1), doc(3), doc(1), doc(3, 2, 1), doc(2, 3),
+            doc(1, pad=False), doc(2, 2, pad=False), doc(1, 3, pad=False),
+            doc(1), doc(3, 1),
+        ])
         batch = [
-            EncodedPair(join_encoded([doc(2, 1), doc(3)]), doc(1), 1),
-            EncodedPair(doc(3, 2, 1), doc(2, 3), 0),
-            EncodedPair(join_encoded([doc(1, pad=False), doc(2, 2, pad=False)], 3),
-                        doc(1, 3, pad=False), 1),
-            EncodedPair(doc(1), doc(3, 1), 0),
+            EncodedPair(join_encoded(docs[0:2]), docs[2], 1),
+            EncodedPair(docs[3], docs[4], 0),
+            EncodedPair(join_encoded(docs[5:7], 3), docs[7], 1),
+            EncodedPair(docs[8], docs[9], 0),
         ]
         # every pair and cross pair active in both terms
         config = tiny_config(dropout_rate=0.3, in_batch_weight=2.0, tau1=1e-3, tau2=9.0)

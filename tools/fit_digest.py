@@ -40,8 +40,8 @@ Run it against any source tree and compare the lines:
 
     PYTHONPATH=<tree>/src python tools/fit_digest.py
 
-It takes about 15 s on a 2-CPU host.  It is not part of the test
-suite.
+It pins BLAS to one thread itself and takes about 10 s on a 2-CPU
+host.  It is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -51,6 +51,11 @@ import json
 import os
 import sys
 import tempfile
+
+# One BLAS thread, set before numpy loads, as perfbench/worker.py does:
+# with more threads, BLAS may take kernels that round differently.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 TESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests")
 sys.path.insert(0, TESTS)
