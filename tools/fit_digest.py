@@ -30,7 +30,15 @@ Prints one JSON line of sha256 digests:
   known texts joined against the unknown one, under `TrainConfig()`
   (the paper dims, 300/150/75) with initial weights drawn from seed 0.
   It covers the BLAS kernels of the paper dims, which the bench dims of
-  the other digests do not reach.
+  the other digests do not reach;
+- `pipeline`: the text pipeline alone, on criterion 9's
+  `fuzz_documents(1000)` and every text of criterion 6's corpus: each
+  text's normalized form, sentences and tokens, and its
+  `encode_document` ids, sentence lengths, OOV counts and row counts
+  at the bench caps (12 words x 15 sentences) and the paper caps
+  (33 x 123), resolved against criterion 6's embedding table.  A
+  change to the pipeline that keeps its output byte for byte keeps
+  this digest.
 
 A fit digest covers the parameter bytes, the training log without its
 `seconds` timings, `best_epoch`, `best_dev_accuracy` and `dev_distances`.
@@ -60,7 +68,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 TESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests")
 sys.path.insert(0, TESTS)
 
-from test_acceptance import bench_config  # noqa: E402
+from test_acceptance import bench_config, fuzz_documents  # noqa: E402
 from test_train import per_document_gradients  # noqa: E402
 
 import authverify as av  # noqa: E402
@@ -117,6 +125,33 @@ def check_per_document(instances, table) -> None:
         sys.exit("batch_gradients differs from per-document passes at the paper dims")
 
 
+def pipeline_digest(instances, table) -> str:
+    texts = fuzz_documents(1000)
+    for x in instances:
+        texts.extend(x.known_docs)
+        texts.append(x.unknown_doc)
+    h = hashlib.sha256()
+    for text in texts:
+        normalized = av.normalize_text(text)
+        sentences = av.segment_sentences(normalized)
+        h.update(json.dumps(
+            [normalized, sentences, [av.tokenize(s) for s in sentences]]
+        ).encode())
+        for max_words, max_sentences in ((12, 15), (33, 123)):
+            for pad in (True, False):
+                try:
+                    doc = av.encode_document(
+                        text, table, max_words, max_sentences, pad=pad
+                    )
+                except av.EmptyDocumentError:
+                    h.update(b"empty")
+                    continue
+                for a in (doc.ids, doc.sent_lengths, doc.sent_oov):
+                    h.update(a.tobytes())
+                h.update(json.dumps([doc.max_words, doc.max_sentences]).encode())
+    return h.hexdigest()
+
+
 def verify_digest(tmp: str) -> str:
     instances, table = load_table(
         tmp, SyntheticSpec(emb_dim=300, n_instances=20, min_known=2, max_known=2),
@@ -144,6 +179,7 @@ def main() -> None:
             "fit_paper_loss": fit_digest(
                 instances, table, config.updated(in_batch_weight=0.0, max_epochs=2)
             ),
+            "pipeline": pipeline_digest(instances, table),
         }
         instances, table = load_table(tmp, SyntheticSpec(
             emb_dim=300, n_instances=20, min_sentences=10, max_sentences=10,
