@@ -14,7 +14,9 @@ versioned patterns (no external NLP dependency):
   ``<url>``, ``<email>`` and ``<phone>``; trailing sentence punctuation
   is kept outside the replacement so segmentation still sees it.  A
   phone number is a digit sequence with common separators carrying 7-15
-  digits in total.
+  digits in total.  A substitution is skipped, with the same result,
+  when the text lacks what its pattern needs: ``://`` or ``www.`` in
+  any case, ``@``, or a phone number's opening ``+``, ``(`` or digit.
 * Sentences split after ``.``, ``!`` or ``?`` (plus closing quotes or
   brackets) when followed by whitespace and an uppercase letter, a
   digit or an opening quote, or at end of text.  Newlines are hard
@@ -72,6 +74,10 @@ _PHONE_RE = re.compile(
     """,
     re.VERBOSE,
 )
+# Where a phone match can begin: each alternative of _PHONE_RE opens with
+# "+", "(" or a digit after its lookbehind.
+_PHONE_START_RE = re.compile(r"(?<![\w.+-])[+(\d]")
+_PHONE_GROUPS_RE = re.compile(r"[ ()+-]+")
 _YEAR_GROUP_RE = re.compile(r"^(?:19|20)\d\d$")
 _TRAILING_PUNCT_RE = re.compile(r"[.,;:!?)\]'\"]+$")
 
@@ -123,7 +129,7 @@ def _looks_like_phone(matched: str) -> bool:
     if not 7 <= digits <= 15:
         return False
     has_prefix = matched.lstrip().startswith(("+", "("))
-    groups = [g for g in re.split(r"[ ()+-]+", matched) if g]
+    groups = [g for g in _PHONE_GROUPS_RE.split(matched) if g]
     if not has_prefix and any(_YEAR_GROUP_RE.match(g) for g in groups):
         return False
     if " " in matched and "-" not in matched and not has_prefix:
@@ -149,19 +155,22 @@ def normalize_text(raw: str) -> str:
     the same result because the universal tokens match none of the
     patterns.
     """
-    text = _URL_RE.sub(_url_sub, raw)
-    text = _EMAIL_RE.sub(_email_sub, text)
-    text = _PHONE_RE.sub(_phone_sub, text)
+    text = raw
+    if "://" in text or "www." in text.lower():
+        text = _URL_RE.sub(_url_sub, text)
+    if "@" in text:
+        text = _EMAIL_RE.sub(_email_sub, text)
+    if _PHONE_START_RE.search(text):
+        text = _PHONE_RE.sub(_phone_sub, text)
     return text
 
 
 def _is_abbreviation(before: str) -> bool:
-    """True when the word ending at a '.' must not close a sentence."""
-    word = before.rstrip(".")
-    if not word:
-        return False
-    tail = re.split(r"\s", word)[-1] if word else ""
-    tail = tail.strip("(\"'[")
+    """True when `before`, the sentence so far up to a single '.', ends in
+    a word after which that period must not close a sentence."""
+    if not before or before[-1].isspace():
+        return False  # "Dr ." closes its sentence
+    tail = before.rsplit(None, 1)[-1].strip("(\"'[")
     if not tail:
         return False
     if len(tail) == 1 and tail.isalpha() and tail.isupper():
@@ -179,7 +188,7 @@ def _split_line(line: str) -> list[str]:
             nxt = line[match.end()] if match.end() < len(line) else ""
             if not (nxt.isupper() or nxt.isdigit() or nxt in "\"'(["):
                 continue
-        if terminator == "." and _is_abbreviation(line[start:end]):
+        if terminator == "." and _is_abbreviation(line[start:end - 1]):
             continue
         chunk = line[start:end].strip()
         if chunk:
