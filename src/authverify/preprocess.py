@@ -166,8 +166,8 @@ def normalize_text(raw: str) -> str:
 
 
 def _is_abbreviation(before: str) -> bool:
-    """True when `before`, the sentence so far up to a single '.', ends in
-    a word after which that period must not close a sentence."""
+    """True when `before`, the sentence so far up to a terminator that is a
+    lone '.', ends in a word after which that period must not close it."""
     if not before or before[-1].isspace():
         return False  # "Dr ." closes its sentence
     tail = before.rsplit(None, 1)[-1].strip("(\"'[")
