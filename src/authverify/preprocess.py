@@ -14,9 +14,7 @@ versioned patterns (no external NLP dependency):
   ``<url>``, ``<email>`` and ``<phone>``; trailing sentence punctuation
   is kept outside the replacement so segmentation still sees it.  A
   phone number is a digit sequence with common separators carrying 7-15
-  digits in total.  A substitution is skipped, with the same result,
-  when the text lacks what its pattern needs: ``://`` or ``www.`` in
-  any case, ``@``, or a phone number's opening ``+``, ``(`` or digit.
+  digits in total.
 * Sentences split after ``.``, ``!`` or ``?`` (plus closing quotes or
   brackets) when followed by whitespace and an uppercase letter, a
   digit or an opening quote, or at end of text.  Newlines are hard
@@ -59,14 +57,20 @@ URL_TOKEN = "<url>"
 EMAIL_TOKEN = "<email>"
 PHONE_TOKEN = "<phone>"
 
-_URL_RE = re.compile(r"(?:https?://|www\.)[^\s<>]+", re.IGNORECASE)
+# A pattern that opens with a plain character class lets the regex engine
+# scan ahead to a possible start instead of trying a match at every
+# position; case-insensitive "h" and "w" match no other code point.
+_URL_RE = re.compile(r"[hHwW](?i:(?<=h)ttps?://|(?<=w)ww\.)[^\s<>]+")
+# "*+" gives back nothing: "@" is not in its class, so no shorter run of
+# it is followed by "@" either.
 _EMAIL_RE = re.compile(
-    r"[A-Za-z0-9][A-Za-z0-9._%+-]*@[A-Za-z0-9](?:[A-Za-z0-9.-]*[A-Za-z0-9])?"
+    r"[A-Za-z0-9][A-Za-z0-9._%+-]*+@[A-Za-z0-9](?:[A-Za-z0-9.-]*[A-Za-z0-9])?"
     r"\.[A-Za-z]{2,}"
 )
 _PHONE_RE = re.compile(
     r"""
     (?<![\w.+-])                     # not glued to a word or number
+    (?=[+(\d])                       # fail at once if no "+", "(" or digit
     (?:\+\d{1,3}[ -]?)?              # optional country code
     (?:\(\d{1,4}\)[ -]?|\d{1,4}[ -])?   # optional area code
     \d{2,4}[ -]?\d{2,4}(?:[ -]?\d{1,4}){0,2}
@@ -74,9 +78,6 @@ _PHONE_RE = re.compile(
     """,
     re.VERBOSE,
 )
-# Where a phone match can begin: each alternative of _PHONE_RE opens with
-# "+", "(" or a digit after its lookbehind.
-_PHONE_START_RE = re.compile(r"(?<![\w.+-])[+(\d]")
 _PHONE_GROUPS_RE = re.compile(r"[ ()+-]+")
 _YEAR_GROUP_RE = re.compile(r"^(?:19|20)\d\d$")
 _TRAILING_PUNCT_RE = re.compile(r"[.,;:!?)\]'\"]+$")
@@ -93,7 +94,8 @@ ABBREVIATIONS = frozenset(
     }
 )
 
-_SENT_BOUNDARY_RE = re.compile(r"([.!?]+[\"')\]]*)(\s+|$)")
+# "[.!?][.!?]*" rather than "[.!?]+": a plain class first scans ahead.
+_SENT_BOUNDARY_RE = re.compile(r"([.!?][.!?]*[\"')\]]*)(\s+|$)")
 _TOKEN_RE = re.compile(r"<url>|<email>|<phone>|\w+|[^\w\s]")
 
 
@@ -155,13 +157,9 @@ def normalize_text(raw: str) -> str:
     the same result because the universal tokens match none of the
     patterns.
     """
-    text = raw
-    if "://" in text or "www." in text.lower():
-        text = _URL_RE.sub(_url_sub, text)
-    if "@" in text:
-        text = _EMAIL_RE.sub(_email_sub, text)
-    if _PHONE_START_RE.search(text):
-        text = _PHONE_RE.sub(_phone_sub, text)
+    text = _URL_RE.sub(_url_sub, raw)
+    text = _EMAIL_RE.sub(_email_sub, text)
+    text = _PHONE_RE.sub(_phone_sub, text)
     return text
 
 

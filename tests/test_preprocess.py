@@ -10,10 +10,6 @@ from hypothesis import given, settings, strategies as st
 from authverify.embeddings import EmbeddingTable
 from authverify.preprocess import (
     ABBREVIATIONS,
-    _EMAIL_RE,
-    _PHONE_RE,
-    _SENT_BOUNDARY_RE,
-    _URL_RE,
     _email_sub,
     _phone_sub,
     _url_sub,
@@ -84,6 +80,13 @@ class TestNormalizeText:
             normalize_text("see WWW.Example.com/x. and HTTP://A.b now")
             == "see <url>. and <url> now"
         )
+
+    def test_url_prefix_letters_have_no_other_case_forms(self):
+        # _URL_RE opens with the plain class [hHwW] before its
+        # case-insensitive rest.
+        matches = [c for c in map(chr, range(sys.maxunicode + 1))
+                   if re.fullmatch(r"(?i)[hw]", c)]
+        assert matches == ["H", "W", "h", "w"]
 
     def test_phone_in_arabic_indic_digits(self):
         assert normalize_text("call ٥٥٥-١٢٣-٤٥٦٧ now") == "call <phone> now"
@@ -420,13 +423,33 @@ class TestJoinEncoded:
 
 
 # Reference text pipeline, the plain forms of normalize_text,
-# _is_abbreviation and _split_line over the module's own patterns: every
-# substitution runs on every text, and the abbreviation tail is the last
-# piece of re.split over the whole sentence so far.
+# _is_abbreviation and _split_line and of their patterns: case-insensitive
+# URL prefixes, an email local part that gives characters back, no
+# opening-character lookahead for phones, "[.!?]+" at sentence ends, and
+# the abbreviation tail as the last piece of re.split over the whole
+# sentence so far.
+REFERENCE_URL_RE = re.compile(r"(?:https?://|www\.)[^\s<>]+", re.IGNORECASE)
+REFERENCE_EMAIL_RE = re.compile(
+    r"[A-Za-z0-9][A-Za-z0-9._%+-]*@[A-Za-z0-9](?:[A-Za-z0-9.-]*[A-Za-z0-9])?"
+    r"\.[A-Za-z]{2,}"
+)
+REFERENCE_PHONE_RE = re.compile(
+    r"""
+    (?<![\w.+-])                     # not glued to a word or number
+    (?:\+\d{1,3}[ -]?)?              # optional country code
+    (?:\(\d{1,4}\)[ -]?|\d{1,4}[ -])?   # optional area code
+    \d{2,4}[ -]?\d{2,4}(?:[ -]?\d{1,4}){0,2}
+    (?![\w-])
+    """,
+    re.VERBOSE,
+)
+REFERENCE_SENT_BOUNDARY_RE = re.compile(r"([.!?]+[\"')\]]*)(\s+|$)")
+
+
 def reference_normalize_text(raw: str) -> str:
-    text = _URL_RE.sub(_url_sub, raw)
-    text = _EMAIL_RE.sub(_email_sub, text)
-    text = _PHONE_RE.sub(_phone_sub, text)
+    text = REFERENCE_URL_RE.sub(_url_sub, raw)
+    text = REFERENCE_EMAIL_RE.sub(_email_sub, text)
+    text = REFERENCE_PHONE_RE.sub(_phone_sub, text)
     return text
 
 
@@ -446,7 +469,7 @@ def reference_is_abbreviation(before: str) -> bool:
 def reference_split_line(line: str) -> list[str]:
     sentences: list[str] = []
     start = 0
-    for match in _SENT_BOUNDARY_RE.finditer(line):
+    for match in REFERENCE_SENT_BOUNDARY_RE.finditer(line):
         terminator, gap = match.group(1), match.group(2)
         end = match.start() + len(terminator)
         if gap:  # boundary mid-line: require a sentence-opening character
