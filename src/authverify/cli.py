@@ -2,8 +2,8 @@
 
 Subcommands: `synthetic` (generate a benchmark corpus plus embeddings),
 `train` (fit one model on an 80/10/10 split), `verify` (compare two text
-files under a checkpoint), `cross-validate` (k-fold report), `gradcheck`
-(finite-difference suite).
+files under a checkpoint; `--explain` adds what the encoder read of each),
+`cross-validate` (k-fold report), `gradcheck` (finite-difference suite).
 
 All randomness flows from `--seed`; `train` draws its split and its fit
 from two independent `SeedSequence` children of it.  Report output
@@ -29,7 +29,13 @@ from .evaluate import (
 )
 from .gradcheck import run_suite
 from .numeric import make_rng
-from .preprocess import load_corpus
+from .preprocess import (
+    encode_document,
+    load_corpus,
+    normalize_text,
+    segment_sentences,
+    tokenize,
+)
 from .synthetic import SyntheticSpec, write_synthetic
 from .train import TrainConfig, fit, make_cv_splits
 
@@ -96,6 +102,23 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _explain(text: str, model: Model) -> dict[str, int]:
+    """What the encoder reads of one text under the model's caps, and what
+    the caps cut; distinct tokens are distinct embedding rows, so every
+    OOV token counts once, and are the rows level 1 projects."""
+    caps = (model.config.max_words, model.config.max_sentences)
+    sentences = segment_sentences(normalize_text(text))
+    doc = encode_document(text, model.table, *caps, pad=False)
+    return {
+        "sentences": doc.num_sentences,
+        "tokens": doc.token_count,
+        "distinct_tokens": len(np.unique(doc.ids)),
+        "oov_tokens": doc.oov_count,
+        "sentences_cut": len(sentences) - doc.num_sentences,
+        "tokens_cut": sum(len(tokenize(s)) for s in sentences) - doc.token_count,
+    }
+
+
 def _cmd_verify(args) -> int:
     params, config = load_checkpoint(args.checkpoint)
     table = load_embeddings(args.embeddings, config.d_w)
@@ -103,9 +126,13 @@ def _cmd_verify(args) -> int:
         doc_a = fh.read()
     with open(args.doc_b, encoding="utf-8") as fh:
         doc_b = fh.read()
-    score = verify_pair(Model(params, config, table), doc_a, doc_b)
-    payload = score.to_json_dict()
+    model = Model(params, config, table)
+    payload = verify_pair(model, doc_a, doc_b).to_json_dict()
     payload["tau"] = config.thresholds.midpoint
+    if args.explain:
+        payload["explain"] = {
+            "doc_a": _explain(doc_a, model), "doc_b": _explain(doc_b, model)
+        }
     _write_or_print(json.dumps(payload, indent=2), args.out)
     return 0
 
@@ -184,6 +211,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("doc_a", help="first text file")
     p.add_argument("doc_b", help="second text file")
     p.add_argument("--out", help="decision JSON path; stdout if absent")
+    p.add_argument(
+        "--explain",
+        action="store_true",
+        help="add each side's sentences, tokens, distinct tokens and OOV "
+        "tokens, and the sentences and tokens cut by the caps",
+    )
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("cross-validate", help="k-fold cross-validation report")

@@ -5,12 +5,14 @@ word LSTM's final hidden state); level 2 runs over the sentence
 embeddings and its final hidden state is the document embedding.  Both
 levels start from zero states.
 
-Every encoding takes the same path, `encode_documents`: the word vectors
-of a list of documents are gathered by token id into one array, level 1 is
-one `lstm_run` with a row per sentence of every document, and level 2 is
-one `lstm_run` with a row per document.  Each row's matrix-vector
-products are separate gemv calls, so every document gets the bits it
-would get encoded alone.  Training encodes a batch with tapes, and
+Every encoding takes the same path, `encode_documents`: level 1 is one
+`lstm_run` with a row per sentence of every document, and level 2 is one
+`lstm_run` with a row per document.  Level 1's input rows are the
+distinct (document, token id) pairs of the call, each word vector
+gathered once under its document's input mask, so its U x is one gemv
+however often the word occurs.  Each matrix-vector product is a separate
+gemv call, so every document gets the bits it would get encoded alone.
+Training encodes a batch with tapes, and
 `document_gradients` walks each level back once for all of it;
 `encode_document_training` and `encoder_backward` are the one-document
 case.  Embeddings that need no gradient go through `embed_documents`.
@@ -182,27 +184,35 @@ def encode_documents(
     """Embeddings (len(docs), d_d) of documents in two runs, with both
     runs' tapes if `record`.
 
-    Level 1's input is the documents' word vectors gathered by token id
-    into one (tokens, d_w) array; `masks`, one DropoutMasks per document,
-    become per-row masks of both runs.
+    Level 1's input rows are the word vectors of each document's distinct
+    token ids, from its own matrix and under its own input mask, keyed by
+    (document, id) because documents differ in both; every token reads
+    its key's row.  `masks`, one DropoutMasks per document, become
+    per-row masks of both runs.
     """
     counts = np.array([doc.num_sentences for doc in docs])
     lengths = np.concatenate([doc.sent_lengths for doc in docs])
-    words = np.concatenate([doc.matrix[doc.ids] for doc in docs])
+    span = max(len(doc.matrix) for doc in docs)
+    owner = np.repeat(np.arange(len(docs)), [doc.token_count for doc in docs])
+    keys, x_index = np.unique(
+        owner * span + np.concatenate([doc.ids for doc in docs]), return_inverse=True
+    )
+    distinct = np.bincount(keys // span, minlength=len(docs))  # rows of each document
+    ids = np.split(keys % span, np.cumsum(distinct)[:-1])
+    words = np.concatenate([doc.matrix[doc_ids] for doc, doc_ids in zip(docs, ids)])
     if masks is None:
-        level1_masks = level2_masks = (None, None)
+        recurrent1, level2_masks = None, (None, None)
     else:
-        level1_masks = (
-            np.repeat(np.stack([m.input1 for m in masks]), counts, axis=0),
-            np.repeat(np.stack([m.recurrent1 for m in masks]), counts, axis=0),
-        )
+        words *= np.repeat(np.stack([m.input1 for m in masks]), distinct, axis=0)
+        recurrent1 = np.repeat(np.stack([m.recurrent1 for m in masks]), counts, axis=0)
         level2_masks = (
             np.stack([m.input2 for m in masks]),
             np.stack([m.recurrent2 for m in masks]),
         )
     # the sentence embeddings, document after document, are level 2's steps
     sentences, level1_tape = lstm_run(
-        params.level1, words, lengths, None, *level1_masks, record=record
+        params.level1, words, lengths, None, None, recurrent1,
+        record=record, x_index=x_index,
     )
     final, level2_tape = lstm_run(
         params.level2, sentences.h, counts, None, *level2_masks, record=record

@@ -15,15 +15,17 @@ Rows run together
 There is one forward run, `lstm_run`.  It steps R sequences (rows) of
 different lengths together; one sequence is a run of one row.  Its input
 holds only the real steps, packed row after row, so padding never
-reaches the cell.  It keeps a tape only when asked: training asks, for
-every document of a batch at once; embeddings that need no gradient do
-not.  Every matrix-vector product, U x as well as W h, is its own gemv
-call at its step, made for all rows by one stacked matmul, so a row gets
-the bits it would get running alone, with or without a tape; a GEMM over
-the rows would sum in another order.  `lstm_backward_dz` walks the rows
-back together, one W^T gemv per row and step, and leaves each step's dz
-in the tape, from which `param_gradients` and `input_gradients` take the
-gradients of any span of rows by products over that span's steps alone.
+reaches the cell, or distinct input vectors that the steps index.  It
+keeps a tape only when asked: training asks, for every document of a
+batch at once; embeddings that need no gradient do not.  Every
+matrix-vector product is its own gemv call, made by one stacked matmul:
+U x once for every input vector before the first step, W h for all rows
+at its step.  So a row gets the bits it would get running alone, with or
+without a tape; a GEMM over the rows would sum in another order.
+`lstm_backward_dz` walks the rows back together, one W^T gemv per row
+and step, and leaves each step's dz in the tape, from which
+`param_gradients` and `input_gradients` take the gradients of any span
+of rows by products over that span's steps alone.
 
 Live prefixes
 -------------
@@ -171,17 +173,18 @@ class LstmTape:
     holds the live[t] rows still running at step t, in stepping order
     (`order`), so a step's block is one contiguous slice and the arrays
     have one entry per real step.  `index` gives, for every real step in
-    the input's row-after-row order, its place in the packed arrays.  The
-    inputs are held by reference and masked again in the backward pass,
-    and tanh of the memory state is recomputed there, so a step stores
-    6 * d_out floats per row.
+    the input's row-after-row order, its place in the packed arrays, and
+    `x_index` the row of `x_in`, the masked input rows, that it read.
+    tanh of the memory state is recomputed in the backward pass, so a
+    step stores 6 * d_out floats per row.
     """
 
     lengths: np.ndarray  # (R,) real steps of each row
     order: np.ndarray  # (R,) the rows in stepping order
     live: np.ndarray  # (T,) rows still running at each step
     index: np.ndarray = field(repr=False)  # (tokens,) packed place of each input step
-    xs: np.ndarray = field(repr=False)  # (tokens, d_in), row after row, unmasked
+    x_in: np.ndarray = field(repr=False)  # (n, d_in): the rows of xs, masked
+    x_index: np.ndarray = field(repr=False)  # (tokens,) x_in row of each input step
     h_in: np.ndarray = field(repr=False)  # (tokens, d_out), masked, packed
     gates: np.ndarray = field(repr=False)  # (tokens, 4*d_out): f, i, o, c~, packed
     c: np.ndarray = field(repr=False)  # (tokens, d_out): c after each step, packed
@@ -189,14 +192,6 @@ class LstmTape:
     in_mask: np.ndarray | None = None  # (d_in,) or (R, d_in)
     rec_mask: np.ndarray | None = None  # (d_out,) or (R, d_out)
     spent: bool = False  # walked back: `gates` holds dz
-
-    @property
-    def x_in(self) -> np.ndarray:
-        """The masked inputs, row after row like `xs`."""
-        mask = self.in_mask
-        if mask is not None and mask.ndim == 2:
-            mask = np.repeat(mask, self.lengths, axis=0)
-        return self.xs if mask is None else self.xs * mask
 
 
 def _gemv(
@@ -230,6 +225,7 @@ def lstm_run(
     in_mask: np.ndarray | None = None,
     rec_mask: np.ndarray | None = None,
     record: bool = False,
+    x_index: np.ndarray | None = None,
 ) -> tuple[LstmState, LstmTape | None]:
     """Apply the cell to R sequences at once, row r for lengths[r] steps.
 
@@ -242,13 +238,16 @@ def lstm_run(
     preactivations (variational dropout).
 
     `xs` holds only the real steps, row after row: (sum(lengths), d_in).
-    The rows start from `init` (zero states if None) and are stepped in
-    order of non-increasing length, step t computing only the rows still
-    running (see the module docstring).  Returns the state after each
-    row's last step, each (R, d_out) in the caller's row order, and the
-    tape if `record`, else None.  Every matrix-vector product, U x too, is
-    its own gemv call (`_gemv`), so a row gets the same bits whether it
-    runs alone or beside others, with a tape or without.
+    Given `x_index`, (sum(lengths),), real step j reads row x_index[j] of
+    `xs` (n, d_in) instead, taken as already masked: `in_mask` must be
+    None.  The rows start from `init` (zero states if None) and are
+    stepped in order of non-increasing length, step t computing only the
+    rows still running (see the module docstring).  Returns the state
+    after each row's last step, each (R, d_out) in the caller's row
+    order, and the tape if `record`, else None.  Every matrix-vector
+    product is its own gemv call (`_gemv`), U x once per row of `xs`
+    before the first step and W h at each step, so a row gets the same bits
+    whether it runs alone or beside others, with a tape or without.
     """
     lengths = np.asarray(lengths)
     if lengths.ndim != 1 or len(lengths) == 0 or lengths.min() < 1:
@@ -263,10 +262,13 @@ def lstm_run(
             )
     xs = np.asarray(xs)
     tokens = int(lengths.sum())
-    if xs.shape != (tokens, params.d_in):
+    indexed = x_index is not None
+    if xs.shape != (len(xs) if indexed else tokens, params.d_in) or indexed and (
+        x_index.shape != (tokens,) or in_mask is not None
+    ):
         raise ShapeError(
-            f"xs shape {xs.shape} must be (sum of lengths, d_in) = "
-            f"({tokens}, {params.d_in})"
+            f"xs shape {xs.shape} must be (sum of lengths, d_in) = ({tokens}, "
+            f"{params.d_in}), or (n, d_in) with a ({tokens},) x_index and no in_mask"
         )
     d = params.d_out
     dtype = params.w.dtype
@@ -279,7 +281,7 @@ def lstm_run(
     running = steps < lengths[order]  # (T, R): row t marks a prefix of `order`
     live = np.count_nonzero(running, axis=1)
     first = np.cumsum(live) - live  # where step t's block starts in the packed steps
-    # the input row of every packed step, and the packed place of every input row
+    # the input step of every packed step, and the packed place of every input step
     source = ((np.cumsum(lengths) - lengths)[order] + steps)[running]
     index = np.empty_like(source)
     index[source] = np.arange(tokens)
@@ -287,7 +289,13 @@ def lstm_run(
         h, c = np.zeros((rows, d), dtype=dtype), np.zeros((rows, d), dtype=dtype)
     else:
         h, c = init.h[order], init.c[order]
-    in_m, rec_m = _in_order(in_mask, order), _in_order(rec_mask, order)
+    rec_m = _in_order(rec_mask, order)
+    if not indexed:
+        x_index = np.arange(tokens)
+        if in_mask is not None:
+            xs = xs * (in_mask if in_mask.ndim == 1 else np.repeat(in_mask, lengths, 0))
+    ux = _gemv(params.u, xs)  # U x of every row of xs, each its own gemv
+    x_rows = x_index[source]  # the row of xs that every packed step reads
     # Without a tape the step arrays are one step's scratch: every step
     # writes from row 0, where the rows it computes sit.
     kept = tokens if record else rows
@@ -296,7 +304,7 @@ def lstm_run(
     gates = np.empty((kept, 4 * d), dtype=dtype)
     cs = np.empty((kept, d), dtype=dtype)
     tape = LstmTape(
-        lengths, order, live, index, xs, h_in, gates, cs, c, in_mask, rec_mask
+        lengths, order, live, index, xs, x_index, h_in, gates, cs, c, in_mask, rec_mask
     ) if record else None
     for k, at_t, first_t in zip(live.tolist(), at.tolist(), first.tolist()):
         block = slice(at_t, at_t + k)
@@ -306,10 +314,7 @@ def lstm_run(
         else:
             np.multiply(h[:k], rec_m[:k], out=h_t)
         g = _gemv(params.w, h_t, out=gates[block])
-        x_t = xs[source[first_t : first_t + k]]
-        if in_m is not None:
-            x_t *= in_m[:k]
-        g += _gemv(params.u, x_t)
+        g += ux[x_rows[first_t : first_t + k]]
         g += params.b
         # the gates overwrite their preactivations
         sigmoid(g[:, : 3 * d], out=g[:, : 3 * d])
@@ -362,9 +367,9 @@ def param_gradients(tape: LstmTape, rows: slice) -> LstmParams:
     """Parameter gradients of the input rows `rows` of a walked run: one
     product each over their own steps in row-major order, so the rows get
     the bits they would get run and walked back alone."""
-    at, steps, mask = _row_steps(tape, rows)
+    at, steps, _ = _row_steps(tape, rows)
     dz = tape.gates[at]
-    x_in = tape.xs[steps] if mask is None else tape.xs[steps] * mask
+    x_in = tape.x_in[tape.x_index[steps]]
     return LstmParams(w=dz.T @ tape.h_in[at], u=dz.T @ x_in, b=dz.sum(axis=0))
 
 
@@ -394,9 +399,9 @@ def lstm_backward_dz(
     reached; each step's local derivatives are taken at the step, and
     dL/dh goes back through W^T with one gemv per row.
     """
-    if tape.xs.shape[1] != params.d_in or tape.h_in.shape[1] != params.d_out:
+    if tape.x_in.shape[1] != params.d_in or tape.h_in.shape[1] != params.d_out:
         raise ShapeError(
-            f"tape dims ({tape.xs.shape[1]}, {tape.h_in.shape[1]}) do not match "
+            f"tape dims ({tape.x_in.shape[1]}, {tape.h_in.shape[1]}) do not match "
             f"params ({params.d_in}, {params.d_out})"
         )
     shape = (len(tape.lengths), params.d_out)

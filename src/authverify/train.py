@@ -407,8 +407,8 @@ def encode_instance(
 
 # Pairs embedded together by `pair_distances`: one batch of the default
 # config, so scoring a large set holds no more word vectors at once than
-# the taped pass of a training step (`embed_documents` copies the real
-# word vectors of every document it is given).
+# the taped pass of a training step (`embed_documents` gathers one word
+# vector per distinct (document, token id) pair it is given).
 EVAL_CHUNK_PAIRS = 32
 
 

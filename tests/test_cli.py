@@ -7,8 +7,13 @@ import pytest
 
 import authverify.cli
 from authverify.cli import main
+from authverify.embeddings import load_embeddings
+from authverify.encoder import init_encoder_params
+from authverify.evaluate import Model, save_checkpoint, verify_pair
+from authverify.numeric import make_rng
 from authverify.preprocess import load_corpus
 from authverify.siamese import SAME_AUTHOR
+from authverify.train import TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +93,46 @@ class TestTrainVerify:
         assert decision["decision"] == SAME_AUTHOR
         assert decision["distance"] == 0.0
         assert "tau" in decision
+
+
+class TestVerifyExplain:
+    def test_explain_counts_and_default_output_unchanged(self, workspace):
+        root, _, emb = workspace
+        config = TrainConfig(d_w=20, d_s=4, d_d=3, max_words=4, max_sentences=2)
+        params = init_encoder_params(20, 4, 3, rng=make_rng(0))
+        checkpoint = root / "explain.npz"
+        save_checkpoint(str(checkpoint), params, config)
+        doc_a, doc_b = root / "explain_a.txt", root / "explain_b.txt"
+        # three sentences, the first over the word cap, one OOV word
+        doc_a.write_text("w000 w000 w001 w002.\nzzz w003.\nw004 w005.")
+        doc_b.write_text("w006 w007.")
+
+        def verify(*flags):
+            out = root / "explain.json"
+            rc = main([
+                "verify", "--checkpoint", str(checkpoint), "--embeddings", str(emb),
+                str(doc_a), str(doc_b), "--out", str(out), *flags,
+            ])
+            assert rc == 0
+            return out.read_text()
+
+        plain, explained = verify(), verify("--explain")
+        model = Model(params, config, load_embeddings(str(emb), 20))
+        score = verify_pair(model, doc_a.read_text(), doc_b.read_text())
+        # without the flag: the decision and tau alone, in the same bytes
+        assert plain == json.dumps(
+            {**score.to_json_dict(), "tau": config.thresholds.midpoint}, indent=2
+        ) + "\n"
+        payload = json.loads(explained)
+        assert payload.pop("explain") == {
+            # kept: "w000 w000 w001 w002" and "zzz w003 ."; cut: the first
+            # sentence's "." and the third sentence, "w004 w005 ."
+            "doc_a": {"sentences": 2, "tokens": 7, "distinct_tokens": 6,
+                      "oov_tokens": 1, "sentences_cut": 1, "tokens_cut": 4},
+            "doc_b": {"sentences": 1, "tokens": 3, "distinct_tokens": 3,
+                      "oov_tokens": 0, "sentences_cut": 0, "tokens_cut": 0},
+        }
+        assert json.dumps(payload, indent=2) + "\n" == plain
 
 
 class TestTrainSeeding:

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+import authverify.lstm
 from authverify.encoder import (
     DropoutMasks,
     EncoderParams,
     embed_documents,
     encode_document,
+    encode_documents,
     encode_document_training,
     encoder_backward,
     init_encoder_params,
@@ -30,6 +32,32 @@ def random_doc(rng, d_w, sent_lengths, max_words, max_sentences):
         sent_lengths=np.array(sent_lengths, dtype=np.int64),
         num_sentences=len(sent_lengths),
     )
+
+
+def id_doc(matrix, sentences):
+    """A document of token ids into `matrix`, one list per sentence."""
+    lengths = np.array([len(s) for s in sentences], dtype=np.int64)
+    return EncodedDocument(
+        sent_lengths=lengths, matrix=matrix, max_words=int(lengths.max()),
+        max_sentences=len(lengths),
+        ids=np.array([i for s in sentences for i in s], dtype=np.int32),
+    )
+
+
+def shared_word_docs(rng, d_w):
+    """Documents that repeat words and share ids: three over one matrix
+    (two of them the same ids), two over another matrix with the same ids
+    as the first, and one with its own matrix (criterion 3's padding)."""
+    first, second = rng.uniform(-1, 1, size=(2, 6, d_w))
+    sentences = [[1, 2, 1, 0], [3, 1], [2, 2, 2, 5, 1]]
+    return [
+        id_doc(first, sentences),
+        id_doc(first, sentences),
+        id_doc(second, sentences),
+        id_doc(first, [[4, 4], [0, 5, 0]]),
+        random_doc(rng, d_w, [2, 3], max_words=33, max_sentences=123),
+        id_doc(second, sentences[1:]),
+    ]
 
 
 class TestEncoderParams:
@@ -109,7 +137,7 @@ class TestEncodeDocument:
         doc = random_doc(make_rng(4), 4, [2], 3, 3)
         x_d, tape = encode_document_training(params, doc)
         assert x_d.shape == (2,)
-        assert tape.level2_tape.xs.shape == (1, 3)  # the sentence embeddings
+        assert tape.level2_tape.x_in.shape == (1, 3)  # the sentence embeddings
 
     def test_tape_holds_only_real_steps(self, rng):
         params = EncoderParams(
@@ -157,6 +185,51 @@ class TestEmbedDocuments:
     def test_no_documents(self, rng):
         params = init_encoder_params(4, 3, 2, rng=rng)
         assert embed_documents(params, []).shape == (0, 2)
+
+    @pytest.mark.parametrize("record", [False, True])
+    def test_shared_words_keep_each_documents_mask_and_matrix(self, record):
+        # the same ids under different masks, and over different matrices,
+        # must not share a level-1 input row across documents
+        rng = make_rng(33)
+        dims = (20, 10, 5)
+        params = init_encoder_params(*dims, rng=rng)
+        docs = shared_word_docs(rng, dims[0])
+        masks = [sample_dropout_masks(dims, 0.3, rng) for _ in docs]
+        x, tape = encode_documents(params, docs, masks, record=record)
+        assert (tape is not None) == record
+        for j, doc in enumerate(docs):
+            assert np.array_equal(x[j], encode_document(params, doc, masks[j])), j
+            ref, _ = encode_document_training(params, doc, masks[j])
+            assert np.array_equal(x[j], ref), j
+        plain, _ = encode_documents(params, docs, record=record)
+        for j, doc in enumerate(docs):
+            assert np.array_equal(plain[j], encode_document(params, doc)), j
+
+    @pytest.mark.parametrize("record", [False, True])
+    def test_level1_projects_each_distinct_document_word_once(self, monkeypatch, record):
+        rng = make_rng(34)
+        dims = (20, 10, 5)
+        params = init_encoder_params(*dims, rng=rng)
+        docs = shared_word_docs(rng, dims[0])
+        masks = [sample_dropout_masks(dims, 0.3, rng) for _ in docs]
+        projected = []
+        gemv = authverify.lstm._gemv
+
+        def counting(a, rows, out=None):
+            if a is params.level1.u:
+                projected.append(len(rows))
+            return gemv(a, rows, out)
+
+        monkeypatch.setattr(authverify.lstm, "_gemv", counting)
+        _, tape = encode_documents(params, docs, masks, record=record)
+        distinct = sum(len(np.unique(doc.ids)) for doc in docs)
+        tokens = sum(doc.token_count for doc in docs)
+        assert distinct < tokens
+        assert sum(projected) == distinct
+        if record:
+            # the tape keeps the distinct rows and an index, not a row per token
+            assert tape.level1_tape.x_in.shape == (distinct, dims[0])
+            assert tape.level1_tape.x_index.shape == (tokens,)
 
 
 class TestSampleDropoutMasks:
@@ -260,6 +333,27 @@ class TestEncoderBackward:
                 numeric = numeric_gradient(loss, target)
                 failures = compare_grads(name, analytic[name], numeric)
                 assert not failures, (doc.sent_lengths, name, failures[:3])
+
+    def test_repeated_words_under_masks_finite_difference_consistent(self):
+        rng = make_rng(14)
+        params = EncoderParams(
+            LstmParams.init_uniform(3, 2, -0.5, 0.5, rng),
+            LstmParams.init_uniform(2, 2, -0.5, 0.5, rng),
+        )
+        doc = id_doc(rng.uniform(-1, 1, size=(4, 3)), [[1, 2, 1], [3, 1, 1, 0], [2]])
+        masks = sample_dropout_masks((3, 2, 2), 0.3, make_rng(15))
+        d_xd = np.array([0.8, -0.6])
+
+        def loss():
+            x_d, _ = encode_document_training(params, doc, masks)
+            return float(np.dot(d_xd, x_d))
+
+        _, tape = encode_document_training(params, doc, masks)
+        analytic = encoder_backward(params, tape, d_xd).arrays()
+        for name, target in params.arrays().items():
+            numeric = numeric_gradient(loss, target)
+            failures = compare_grads(name, analytic[name], numeric)
+            assert not failures, (name, failures[:3])
 
     def test_level1_matches_per_sentence_backward(self):
         # reference: each sentence run and walked back as a one-row batch,

@@ -48,8 +48,11 @@ Run it against any source tree and compare the lines:
 
     PYTHONPATH=<tree>/src python tools/fit_digest.py
 
-It pins BLAS to one thread itself and takes about 10 s on a 2-CPU
-host.  It is not part of the test suite.
+Without an importable `authverify` it falls back to the `src/` of its
+own tree, and it prints the `authverify.__file__` it digested to stderr,
+so a comparison of two trees can tell that it did not read one tree
+twice.  It pins BLAS to one thread itself and takes about 12 s on a
+2-CPU host.  It is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -65,8 +68,14 @@ import tempfile
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
-TESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests")
-sys.path.insert(0, TESTS)
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+sys.path.insert(0, os.path.join(ROOT, "tests"))
+try:
+    import authverify
+except ModuleNotFoundError:
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    import authverify
+print(f"digesting {os.path.realpath(authverify.__file__)}", file=sys.stderr)
 
 from test_acceptance import bench_config, fuzz_documents  # noqa: E402
 from test_train import per_document_gradients  # noqa: E402
