@@ -30,6 +30,7 @@ from .evaluate import (
     evaluate_pairs,
     load_checkpoint,
     pair_distances,
+    roc_auc,
     save_checkpoint,
     verify_pair,
 )

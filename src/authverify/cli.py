@@ -237,7 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_cross_validate)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient suite")
-    p.add_argument("--configs", type=int, default=20, help="random LSTM configs")
+    p.add_argument(
+        "--configs", type=_int_at_least(0), default=20, help="random LSTM configs"
+    )
     add_common(p, config=False)
     p.set_defaults(func=_cmd_gradcheck)
 

@@ -9,13 +9,14 @@ Every encoding takes the same path, `encode_documents`: level 1 is one
 `lstm_run` with a row per sentence of every document, and level 2 is one
 `lstm_run` with a row per document.  Level 1's input rows are the
 distinct (document, token id) pairs of the call, each word vector
-gathered once under its document's input mask, so its U x is one gemv
-however often the word occurs.  Each matrix-vector product is a separate
-gemv call, so every document gets the bits it would get encoded alone.
-Training encodes a batch with tapes, and
-`document_gradients` walks each level back once for all of it;
-`encode_document_training` and `encoder_backward` are the one-document
-case.  Embeddings that need no gradient go through `embed_documents`.
+gathered once under its document's input mask, so its U x is computed
+once however often the word occurs.  Training encodes a batch with
+tapes, whose gemvs give every document the bits it would get encoded
+alone, and `document_gradients` walks each level back once for all of
+it; `encode_document_training` and `encoder_backward` are the
+one-document case.  Embeddings that need no gradient go through
+`embed_documents`, whose GEMMs can move a document's last bits with the
+other documents of the call.
 Variational dropout masks, when given, multiply the input and recurrent
 activations at every step of a sequence; one level-1 mask pair is
 shared by all sentences of a document.
@@ -238,7 +239,7 @@ def embed_documents(
 ) -> np.ndarray:
     """Embeddings (len(docs), d_d) of documents, in order and without a
     tape; row j equals `encode_document_training(params, docs[j],
-    masks[j])[0]` bit for bit."""
+    masks[j])[0]` up to rounding that depends on the other documents."""
     if not docs:
         return np.empty((0, params.d_d))
     return encode_documents(params, docs, masks)[0]

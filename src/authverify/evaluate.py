@@ -45,6 +45,7 @@ __all__ = [
     "pair_distances",
     "counts_at_threshold",
     "calibrate_tau",
+    "roc_auc",
     "evaluate_pairs",
     "FoldResult",
     "CvReport",
@@ -161,6 +162,20 @@ def calibrate_tau(distances: list[float], labels: list[int]) -> float:
             best_correct = correct
             best_tau = tau
     return float(best_tau)
+
+
+def roc_auc(distances: list[float], labels: list[int]) -> float:
+    """Area under the ROC curve with same_author (label 1) scored by
+    closeness: the share of (same-author, different-author) pairs whose
+    same-author distance is the smaller, a tie counting half.  The wins
+    and ties are counted exactly, in integers."""
+    d, y = np.asarray(distances, dtype=np.float64), np.asarray(labels)
+    same, diff = np.sort(d[y == 1]), d[y == 0]
+    if len(same) + len(diff) != len(d) or not len(same) or not len(diff):
+        raise ValueError("AUC needs labels of 0 and 1 only, and both present")
+    below = np.searchsorted(same, diff, side="left")
+    ties = np.searchsorted(same, diff, side="right") - below
+    return (2 * int(below.sum()) + int(ties.sum())) / (2 * len(same) * len(diff))
 
 
 def evaluate_pairs(

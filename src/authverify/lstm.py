@@ -17,11 +17,14 @@ different lengths together; one sequence is a run of one row.  Its input
 holds only the real steps, packed row after row, so padding never
 reaches the cell, or distinct input vectors that the steps index.  It
 keeps a tape only when asked: training asks, for every document of a
-batch at once; embeddings that need no gradient do not.  Every
-matrix-vector product is its own gemv call, made by one stacked matmul:
-U x once for every input vector before the first step, W h for all rows
-at its step.  So a row gets the bits it would get running alone, with or
-without a tape; a GEMM over the rows would sum in another order.
+batch at once; embeddings that need no gradient do not.  U x is taken
+once for every input vector before the first step, W h for the running
+rows at each step.  A taped run makes each product its own gemv call,
+by one stacked matmul (`_gemv`), so a row gets the bits it would get
+alone and the trained weights do not depend on batching.  A run without
+a tape feeds no gradient and takes GEMMs (`_gemm`): deterministic, but a
+row's last bits can depend on the other rows.  Training stays on gemvs
+until a change of its bits can be ranked over many seeds.
 `lstm_backward_dz` walks the rows back together, one W^T gemv per row
 and step, and leaves each step's dz in the tape, from which
 `param_gradients` and `input_gradients` take the gradients of any span
@@ -198,15 +201,21 @@ def _gemv(
     a: np.ndarray, rows: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
     """`a @ r` for every vector r along the last axis of `rows`, written
-    to `out` if given.
+    to `out` if given: the products of a taped run.
 
     The stacked matmul makes one gemv call per vector, so each result has
-    the bits of `a @ r` computed alone.  A GEMM (`rows @ a.T`) would sum
-    in another order and change the last bits.
+    the bits of `a @ r` computed alone.  A GEMM (`_gemm`) sums in another
+    order and may change the last bits.
     """
     if out is not None:
         out = out[..., None]
     return np.matmul(a, rows[..., None], out=out)[..., 0]
+
+
+def _gemm(a: np.ndarray, rows: np.ndarray, out: np.ndarray | None = None):
+    """`rows @ a.T`, written to `out` if given: one GEMM over the rows of
+    `rows` (n, d), whose last bits may depend on n."""
+    return np.matmul(rows, a.T, out=out)
 
 
 def _in_order(mask: np.ndarray | None, order: np.ndarray) -> np.ndarray | None:
@@ -244,10 +253,10 @@ def lstm_run(
     stepped in order of non-increasing length, step t computing only the
     rows still running (see the module docstring).  Returns the state
     after each row's last step, each (R, d_out) in the caller's row
-    order, and the tape if `record`, else None.  Every matrix-vector
-    product is its own gemv call (`_gemv`), U x once per row of `xs`
-    before the first step and W h at each step, so a row gets the same bits
-    whether it runs alone or beside others, with a tape or without.
+    order, and the tape if `record`, else None.  Each step adds W h, U x
+    (taken once per row of `xs`) and b in that order; with a tape every
+    product is its own gemv (`_gemv`), without one a GEMM (`_gemm`, see
+    the module docstring).
     """
     lengths = np.asarray(lengths)
     if lengths.ndim != 1 or len(lengths) == 0 or lengths.min() < 1:
@@ -294,7 +303,8 @@ def lstm_run(
         x_index = np.arange(tokens)
         if in_mask is not None:
             xs = xs * (in_mask if in_mask.ndim == 1 else np.repeat(in_mask, lengths, 0))
-    ux = _gemv(params.u, xs)  # U x of every row of xs, each its own gemv
+    product = _gemv if record else _gemm  # a taped run's bits reach the weights
+    ux = product(params.u, xs)  # U x of every row of xs, before the first step
     x_rows = x_index[source]  # the row of xs that every packed step reads
     # Without a tape the step arrays are one step's scratch: every step
     # writes from row 0, where the rows it computes sit.
@@ -308,12 +318,13 @@ def lstm_run(
     ) if record else None
     for k, at_t, first_t in zip(live.tolist(), at.tolist(), first.tolist()):
         block = slice(at_t, at_t + k)
-        h_t = h_in[block]
-        if rec_m is None:
+        h_t = h[:k]
+        if rec_m is not None:
+            h_t = np.multiply(h_t, rec_m[:k], out=h_in[block])
+        elif record:
+            h_t = h_in[block]
             h_t[...] = h[:k]
-        else:
-            np.multiply(h[:k], rec_m[:k], out=h_t)
-        g = _gemv(params.w, h_t, out=gates[block])
+        g = product(params.w, h_t, out=gates[block])
         g += ux[x_rows[first_t : first_t + k]]
         g += params.b
         # the gates overwrite their preactivations

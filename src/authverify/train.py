@@ -408,7 +408,9 @@ def encode_instance(
 # Pairs embedded together by `pair_distances`: one batch of the default
 # config, so scoring a large set holds no more word vectors at once than
 # the taped pass of a training step (`embed_documents` gathers one word
-# vector per distinct (document, token id) pair it is given).
+# vector per distinct (document, token id) pair it is given).  The chunk
+# also sets the rows of the tape-free run's GEMMs, so another value may
+# move a distance in its last bits, and with it a digest of distances.
 EVAL_CHUNK_PAIRS = 32
 
 

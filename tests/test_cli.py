@@ -173,6 +173,12 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert "ok" in out
 
+    def test_negative_configs_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", "--configs", "-3"])
+        assert exc.value.code == 2
+        assert "--configs: must be at least 0" in capsys.readouterr().err
+
 
 class TestCrossValidateCommand:
     def test_report_written(self, workspace):

@@ -22,6 +22,8 @@ from authverify.evaluate import (
     cross_validate,
     evaluate_pairs,
     load_checkpoint,
+    pair_distances,
+    roc_auc,
     save_checkpoint,
     verify_pair,
 )
@@ -29,7 +31,8 @@ from authverify.numeric import ShapeError, make_rng
 from authverify.preprocess import EmptyDocumentError, VerificationInstance
 from authverify.preprocess import encode_document as encode_text
 from authverify.siamese import SAME_AUTHOR, Thresholds, distance
-from authverify.train import EncodedPair, TrainConfig
+from authverify.synthetic import SyntheticSpec, generate_corpus
+from authverify.train import EncodedPair, TrainConfig, encode_instance
 
 from test_encoder import random_doc
 from test_train import synthetic_instance, tiny_config, word_table
@@ -161,6 +164,27 @@ class TestCalibrateTau:
             calibrate_tau([], [])
 
 
+class TestRocAuc:
+    # (distances, labels, AUC), each worked out by hand over every
+    # (same-author, different-author) pair, a tie counting half
+    TABLE = [
+        ([0.1, 0.4, 0.4, 0.8], [1, 0, 1, 0], 3.5 / 4),  # (.4, .4) ties
+        ([0.1, 0.2, 3.0, 4.0], [1, 1, 0, 0], 1.0),
+        ([3.0, 4.0, 0.1, 0.2], [1, 1, 0, 0], 0.0),
+        ([1.0, 1.0, 1.0], [1, 0, 0], 0.5),
+        ([0.5, 2.0, 1.0, 0.3, 2.0, 1.5], [1, 1, 0, 0, 0, 1], 3.5 / 9),
+    ]
+
+    @pytest.mark.parametrize("distances,labels,expected", TABLE)
+    def test_hand_computed_table(self, distances, labels, expected):
+        assert roc_auc(distances, labels) == expected
+
+    def test_needs_both_classes_and_binary_labels(self):
+        for labels in ([1, 1], [0, 0], [1, 2]):
+            with pytest.raises(ValueError):
+                roc_auc([0.5, 1.0], labels)
+
+
 class TestVerifyPair:
     def make_model(self):
         params = init_encoder_params(3, 2, 2, rng=make_rng(5))
@@ -195,6 +219,22 @@ class TestVerifyPair:
             for t in (a, b)
         )
         assert verify_pair(model, a, b).distance == distance(x_a, x_b)
+
+    def test_distance_equals_pair_distances_bit_for_bit(self):
+        # both embed the pair's two documents in one call, so the GEMMs of
+        # the tape-free run see the same rows; the benchmark's verify
+        # check compares the two paths bit for bit
+        instances, words, emb = generate_corpus(
+            SyntheticSpec(n_instances=10), seed=2
+        )
+        table = EmbeddingTable(20, dict(zip(words, emb)))
+        config = TrainConfig(d_w=20, d_s=10, d_d=5, max_words=12, max_sentences=15)
+        params = init_encoder_params(20, 10, 5, rng=make_rng(0))
+        model = Model(params, config, table)
+        for x in instances:
+            (expected,), _ = pair_distances(params, [encode_instance(x, table, config)])
+            score = verify_pair(model, "\n".join(x.known_docs), x.unknown_doc)
+            assert score.distance == expected
 
     def test_empty_document_propagates(self):
         model = self.make_model()

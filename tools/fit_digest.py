@@ -42,6 +42,14 @@ Prints one JSON line of sha256 digests:
 
 A fit digest covers the parameter bytes, the training log without its
 `seconds` timings, `best_epoch`, `best_dev_accuracy` and `dev_distances`.
+Each fit config also prints a `<name>_training` digest of what training
+alone decides: the parameter bytes, each epoch's `train_loss`,
+`grad_norm_mean` and `dev_accuracy`, and `best_epoch`.  Taped runs, and so
+training, keep each document's lone bits, while the tape-free runs that
+score dev and test pairs may round a distance differently with the other
+documents of a call; a change to the tape-free runs alone moves the
+digests that hash distances (`fit`, `fit_paper_*`, `cv`, `verify`) and
+keeps the `_training` ones.
 The configs come from `tests/test_acceptance.py`, so the two cannot drift.
 
 Run it against any source tree and compare the lines:
@@ -97,7 +105,15 @@ def load_table(tmp: str, spec: SyntheticSpec, seed: int):
     return instances, av.load_embeddings(path, spec.emb_dim)
 
 
-def fit_digest(instances, table, config) -> str:
+# The log keys that training alone sets: a run without a tape, which
+# scores the dev pairs, may round its distances differently, but these
+# keys move only if a dev accuracy, and so the selected epoch, moves.
+TRAINING_KEYS = ("train_loss", "grad_norm_mean", "dev_accuracy")
+
+
+def fit_digests(instances, table, config) -> tuple[str, str]:
+    """The full digest of a fit, and its training-only digest: the
+    parameter bytes, each epoch's TRAINING_KEYS and `best_epoch`."""
     split = av.make_cv_splits(len(instances), k=10, rng=av.make_rng(config.seed))[0]
     result = av.fit(
         [instances[i] for i in split.train_ids],
@@ -105,18 +121,23 @@ def fit_digest(instances, table, config) -> str:
         table,
         config,
     )
-    h = hashlib.sha256()
+    full, training = hashlib.sha256(), hashlib.sha256()
     for name, a in result.params.arrays().items():
-        h.update(name.encode())
-        h.update(a.tobytes())
+        for h in (full, training):
+            h.update(name.encode())
+            h.update(a.tobytes())
     record = {
         "log": [{k: v for k, v in e.items() if k != "seconds"} for e in result.log],
         "best_epoch": result.best_epoch,
         "best_dev_accuracy": result.best_dev_accuracy,
         "dev_distances": result.dev_distances,
     }
-    h.update(json.dumps(record, sort_keys=True).encode())
-    return h.hexdigest()
+    full.update(json.dumps(record, sort_keys=True).encode())
+    training.update(json.dumps({
+        "log": [{k: e[k] for k in TRAINING_KEYS} for e in result.log],
+        "best_epoch": result.best_epoch,
+    }, sort_keys=True).encode())
+    return full.hexdigest(), training.hexdigest()
 
 
 def check_per_document(instances, table) -> None:
@@ -183,18 +204,16 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         instances, table = load_table(tmp, SyntheticSpec(), seed=0)
         config = bench_config(7).updated(max_epochs=3)
-        out = {
-            "fit": fit_digest(instances, table, config),
-            "fit_paper_loss": fit_digest(
-                instances, table, config.updated(in_batch_weight=0.0, max_epochs=2)
-            ),
-            "pipeline": pipeline_digest(instances, table),
-        }
+        out = {"pipeline": pipeline_digest(instances, table)}
+        out["fit"], out["fit_training"] = fit_digests(instances, table, config)
+        out["fit_paper_loss"], out["fit_paper_loss_training"] = fit_digests(
+            instances, table, config.updated(in_batch_weight=0.0, max_epochs=2)
+        )
         instances, table = load_table(tmp, SyntheticSpec(
             emb_dim=300, n_instances=20, min_sentences=10, max_sentences=10,
             min_known=1, max_known=1,
         ), seed=3)
-        out["fit_paper_dims"] = fit_digest(
+        out["fit_paper_dims"], out["fit_paper_dims_training"] = fit_digests(
             instances, table, av.TrainConfig(max_epochs=1, patience=1)
         )
         check_per_document(instances, table)
