@@ -181,7 +181,9 @@ class TestEmbedDocuments:
             ref, _ = encode_document_training(
                 params, doc, masks[j] if with_masks else None
             )
-            np.testing.assert_allclose(x[j], ref, rtol=1e-12, atol=1e-15, err_msg=f"row {j}")
+            np.testing.assert_allclose(
+                x[j], ref, rtol=1e-12, atol=1e-15, err_msg=f"row {j}"
+            )
         if with_masks:
             np.testing.assert_allclose(
                 encode_document(params, docs[2], masks[2]), x[2], rtol=1e-12, atol=1e-15
@@ -207,11 +209,12 @@ class TestEmbedDocuments:
         def check(row, untaped, taped, j):
             # taped rows keep each document's lone bits; a row on either
             # side of a run without a tape (GEMMs) agrees to rounding
-            np.testing.assert_allclose(row, untaped, rtol=1e-12, atol=1e-15, err_msg=f"row {j}")
+            close = dict(rtol=1e-12, atol=1e-15, err_msg=f"row {j}")
+            np.testing.assert_allclose(row, untaped, **close)
             if record:
                 assert np.array_equal(row, taped), j
             else:
-                np.testing.assert_allclose(row, taped, rtol=1e-12, atol=1e-15, err_msg=f"row {j}")
+                np.testing.assert_allclose(row, taped, **close)
 
         for j, doc in enumerate(docs):
             check(x[j], encode_document(params, doc, masks[j]),

@@ -105,9 +105,9 @@ def load_table(tmp: str, spec: SyntheticSpec, seed: int):
     return instances, av.load_embeddings(path, spec.emb_dim)
 
 
-# The log keys that training alone sets: a run without a tape, which
-# scores the dev pairs, may round its distances differently, but these
-# keys move only if a dev accuracy, and so the selected epoch, moves.
+# Log keys that a change to the tape-free runs alone keeps: the loss and
+# gradient norms come from taped runs, and a dev accuracy moves only if a
+# last-bit change carries a dev distance across the threshold.
 TRAINING_KEYS = ("train_loss", "grad_norm_mean", "dev_accuracy")
 
 

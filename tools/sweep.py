@@ -15,7 +15,7 @@ drift.  Per seed it reports:
 - `accuracy_dev_calibrated`: test accuracy at `calibrate_tau` over the
   selected epoch's dev distances, as `cross_validate` reports per fold;
 - `margin`: mean different-author minus mean same-author test distance;
-- `epochs`, `best_epoch` and `seconds` (fit plus test scoring);
+- `epochs`, `best_epoch` and `seconds` (corpus, fit and test scoring);
 - `mean_vector_accuracy`: a baseline without training, the Euclidean
   distance of each side's mean word vector, thresholded by `calibrate_tau`
   on the same split's dev pairs.
@@ -32,7 +32,7 @@ each with BLAS pinned to one thread, and the whole sweep is written as one
 JSON file, with one line per run printed as it finishes.  Without an
 importable `authverify` the tool falls back to the `src/` of its own tree.
 It is not part of the test suite; seeds 7-13 of both recipes above take
-about two minutes on a 2-CPU host.
+about 80 seconds on a 2-CPU host.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ def parse_seeds(items: list[str]) -> list[int]:
     return seeds
 
 
-def load_corpus():
+def criterion6_corpus():
     """Criterion 6's corpus and its embedding table, read back from text."""
     instances, words, emb = generate_corpus(SyntheticSpec(), seed=0)
     with tempfile.TemporaryDirectory() as tmp:
@@ -111,7 +111,7 @@ def mean_vector_distances(pairs) -> list[float]:
 
 def run_seed(overrides: dict, seed: int) -> dict:
     started = time.perf_counter()
-    instances, table = load_corpus()
+    instances, table = criterion6_corpus()
     config = bench_config(seed).updated(**overrides)
     split = av.make_cv_splits(len(instances), k=10, rng=av.make_rng(config.seed))[0]
     result = av.fit(
