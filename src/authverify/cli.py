@@ -192,8 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synthetic", help="generate a synthetic benchmark corpus")
     p.add_argument("--corpus", required=True, help="output corpus JSONL path")
     p.add_argument("--embeddings", required=True, help="output embeddings path")
-    p.add_argument("--instances", type=int, default=800)
-    p.add_argument("--authors", type=int, default=40)
+    p.add_argument("--instances", type=_int_at_least(1), default=800)
+    p.add_argument("--authors", type=_int_at_least(2), default=40)
     add_common(p, config=False)
     p.set_defaults(func=_cmd_synthetic)
 

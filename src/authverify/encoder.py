@@ -102,8 +102,10 @@ class EncoderParams:
 
     def add_(self, other: "EncoderParams") -> None:
         """In-place element-wise accumulation (gradient summing)."""
-        for mine, theirs in zip(self.arrays().values(), other.arrays().values()):
-            mine += theirs
+        for mine, theirs in ((self.level1, other.level1), (self.level2, other.level2)):
+            mine.w += theirs.w
+            mine.u += theirs.u
+            mine.b += theirs.b
 
 
 def init_encoder_params(
@@ -129,11 +131,11 @@ def init_encoder_params(
 
 @dataclass
 class DropoutMasks:
-    """Inverted-dropout masks, sampled once per document and reused at
-    every time step (the variational property).
+    """Inverted-dropout masks of n documents, row j sampled for document
+    j and reused at every time step (the variational property).
 
-    Entries are 0 or 1/(1-rate).  input1/recurrent1 apply to the level-1
-    cell, input2/recurrent2 to the level-2 cell.
+    Each field is (n, d), entries 0 or 1/(1-rate).  input1/recurrent1
+    apply to the level-1 cell, input2/recurrent2 to the level-2 cell.
     """
 
     input1: np.ndarray
@@ -146,26 +148,22 @@ def sample_dropout_masks(
     dims: tuple[int, int, int],
     rate: float,
     rng: np.random.Generator,
+    n: int = 1,
 ) -> DropoutMasks:
-    """Bernoulli(1-rate) masks scaled by 1/(1-rate) for dims (d_w, d_s, d_d).
+    """Bernoulli(1-rate) masks scaled by 1/(1-rate) for dims (d_w, d_s, d_d),
+    of n documents.
 
-    rate = 0 yields all-ones masks.  Draw order: input1, recurrent1,
-    input2, recurrent2.
+    rate = 0 yields all-ones masks.  One draw of n rows: a row holds
+    document j's input1, recurrent1, input2 and recurrent2, in that
+    order, and the generator fills the rows in order, so the masks and
+    the generator's next state are those of n one-document draws.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     d_w, d_s, d_d = dims
-    keep = 1.0 - rate
-
-    def draw(dim: int) -> np.ndarray:
-        return (rng.random(dim) >= rate).astype(np.float64) / keep
-
-    return DropoutMasks(
-        input1=draw(d_w),
-        recurrent1=draw(d_s),
-        input2=draw(d_s),
-        recurrent2=draw(d_d),
-    )
+    drawn = (rng.random((n, d_w + 2 * d_s + d_d)) >= rate).astype(np.float64)
+    drawn /= 1.0 - rate
+    return DropoutMasks(*np.split(drawn, np.cumsum([d_w, d_s, d_s]), axis=1))
 
 
 @dataclass
@@ -179,7 +177,7 @@ class DocumentTape:
 def encode_documents(
     params: EncoderParams,
     docs: list[EncodedDocument],
-    masks: list[DropoutMasks] | None = None,
+    masks: DropoutMasks | None = None,
     record: bool = False,
 ) -> tuple[np.ndarray, DocumentTape | None]:
     """Embeddings (len(docs), d_d) of documents in two runs, with both
@@ -188,8 +186,8 @@ def encode_documents(
     Level 1's input rows are the word vectors of each document's distinct
     token ids, from its own matrix and under its own input mask, keyed by
     (document, id) because documents differ in both; every token reads
-    its key's row.  `masks`, one DropoutMasks per document, become
-    per-row masks of both runs.
+    its key's row.  `masks`, row j for document j, become per-row masks
+    of both runs.
     """
     counts = np.array([doc.num_sentences for doc in docs])
     lengths = np.concatenate([doc.sent_lengths for doc in docs])
@@ -204,12 +202,9 @@ def encode_documents(
     if masks is None:
         recurrent1, level2_masks = None, (None, None)
     else:
-        words *= np.repeat(np.stack([m.input1 for m in masks]), distinct, axis=0)
-        recurrent1 = np.repeat(np.stack([m.recurrent1 for m in masks]), counts, axis=0)
-        level2_masks = (
-            np.stack([m.input2 for m in masks]),
-            np.stack([m.recurrent2 for m in masks]),
-        )
+        words *= np.repeat(masks.input1, distinct, axis=0)
+        recurrent1 = np.repeat(masks.recurrent1, counts, axis=0)
+        level2_masks = (masks.input2, masks.recurrent2)
     # the sentence embeddings, document after document, are level 2's steps
     sentences, level1_tape = lstm_run(
         params.level1, words, lengths, None, None, recurrent1,
@@ -226,8 +221,8 @@ def encode_document_training(
     doc: EncodedDocument,
     masks: DropoutMasks | None = None,
 ) -> tuple[np.ndarray, DocumentTape]:
-    """Document embedding plus the tape bundle needed for the backward pass."""
-    masks = None if masks is None else [masks]
+    """Document embedding plus the tape bundle needed for the backward
+    pass; `masks` holds one row."""
     x, tape = encode_documents(params, [doc], masks, record=True)
     return x[0], tape
 
@@ -235,11 +230,12 @@ def encode_document_training(
 def embed_documents(
     params: EncoderParams,
     docs: list[EncodedDocument],
-    masks: list[DropoutMasks] | None = None,
+    masks: DropoutMasks | None = None,
 ) -> np.ndarray:
     """Embeddings (len(docs), d_d) of documents, in order and without a
-    tape; row j equals `encode_document_training(params, docs[j],
-    masks[j])[0]` up to rounding that depends on the other documents."""
+    tape; row j equals `encode_document_training(params, docs[j], m)[0]`,
+    m holding row j of each of `masks`, up to rounding that depends on
+    the other documents."""
     if not docs:
         return np.empty((0, params.d_d))
     return encode_documents(params, docs, masks)[0]
@@ -250,9 +246,9 @@ def encode_document(
     doc: EncodedDocument,
     masks: DropoutMasks | None = None,
 ) -> np.ndarray:
-    """Document embedding by `embed_documents`; without masks this is
-    deterministic inference."""
-    return embed_documents(params, [doc], None if masks is None else [masks])[0]
+    """Document embedding by `embed_documents`, `masks` holding one row;
+    without masks this is deterministic inference."""
+    return embed_documents(params, [doc], masks)[0]
 
 
 def encoder_backward(
@@ -279,13 +275,16 @@ def document_gradients(
     encoded and walked back alone.  Other dimensions raise ShapeError.
     """
     level1, level2 = tape.level1_tape, tape.level2_tape
-    docs = [slice(j, j + 1) for j in range(len(level2.lengths))]
+    # where each document's steps start and end: at level 2 its sentences,
+    # which are its rows at level 1, and at level 1 their words
+    sentences = np.concatenate([[0], np.cumsum(level2.lengths)])
+    words = np.concatenate([[0], np.cumsum(level1.lengths)])[sentences].tolist()
+    sentences = sentences.tolist()
     lstm_backward_dz(params.level2, level2, d_x, np.zeros_like(d_x))
-    d_sent = np.concatenate([input_gradients(params.level2, level2, r) for r in docs])
+    d_sent = input_gradients(params.level2, level2, sentences)
     lstm_backward_dz(params.level1, level1, d_sent, np.zeros_like(d_sent))
-    ends = np.cumsum(level2.lengths).tolist()  # where each document's sentence rows end
-    for doc, start, stop in zip(docs, [0] + ends, ends):
+    for j in range(len(sentences) - 1):
         yield EncoderParams(
-            level1=param_gradients(level1, slice(start, stop)),
-            level2=param_gradients(level2, doc),
+            level1=param_gradients(level1, slice(words[j], words[j + 1])),
+            level2=param_gradients(level2, slice(sentences[j], sentences[j + 1])),
         )

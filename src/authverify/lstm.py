@@ -67,12 +67,16 @@ GATE_ORDER = ("f", "i", "o", "c")
 
 def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Numerically stable logistic function, exp taken of -|z| only:
-    1 / (1 + t) where z >= 0 and t / (1 + t) elsewhere, t = exp(-|z|)."""
+    1 / (1 + t) where z >= 0 and t / (1 + t) elsewhere, t = exp(-|z|).
+
+    The numerator is max(t, z >= 0), which is exact: where z >= 0, t <= 1
+    and the max is 1.0; elsewhere it is t, as t >= 0; a NaN stays NaN.
+    """
     t = np.abs(z)
     np.negative(t, out=t)
     np.exp(t, out=t)
     d = t + 1.0
-    np.copyto(t, 1.0, where=z >= 0.0)
+    np.maximum(t, z >= 0.0, out=t)
     return np.divide(t, d, out=out)
 
 
@@ -357,40 +361,43 @@ def lstm_run_backward(
     input, dL/dh_0, dL/dc_0).  The tape is spent (see `lstm_backward_dz`).
     """
     dh, dc = lstm_backward_dz(params, tape, d_h_final, d_c_final)
-    rows = slice(0, len(tape.lengths))
-    return param_gradients(tape, rows), input_gradients(params, tape, rows), dh, dc
+    steps = len(tape.index)
+    grads = param_gradients(tape, slice(0, steps))
+    return grads, input_gradients(params, tape, [0, steps]), dh, dc
 
 
-def _row_steps(tape: LstmTape, rows: slice):
-    """Packed places, input slice and input mask of the steps of the input
-    rows `rows` of a walked tape, row after row."""
+def _walked(tape: LstmTape) -> LstmTape:
     if not tape.spent:
         raise ValueError("a tape holds dz only once lstm_backward_dz has walked it")
-    start = int(tape.lengths[: rows.start].sum())
-    steps = slice(start, start + int(tape.lengths[rows].sum()))
-    mask = tape.in_mask
-    if mask is not None and mask.ndim == 2:
-        mask = np.repeat(mask[rows], tape.lengths[rows], axis=0)
-    return tape.index[steps], steps, mask
+    return tape
 
 
-def param_gradients(tape: LstmTape, rows: slice) -> LstmParams:
-    """Parameter gradients of the input rows `rows` of a walked run: one
-    product each over their own steps in row-major order, so the rows get
-    the bits they would get run and walked back alone."""
-    at, steps, _ = _row_steps(tape, rows)
+def param_gradients(tape: LstmTape, steps: slice) -> LstmParams:
+    """Parameter gradients of the input steps `steps` of a walked run,
+    whole rows (row r's steps follow those of rows 0..r-1): one product
+    each over those steps in row-major order, so the rows get the bits
+    they would get run and walked back alone."""
+    at = _walked(tape).index[steps]
     dz = tape.gates[at]
     x_in = tape.x_in[tape.x_index[steps]]
     return LstmParams(w=dz.T @ tape.h_in[at], u=dz.T @ x_in, b=dz.sum(axis=0))
 
 
-def input_gradients(params: LstmParams, tape: LstmTape, rows: slice) -> np.ndarray:
-    """Input gradients of the input rows `rows` of a walked run, row after
-    row, by one product over their own steps alone."""
-    at, _, mask = _row_steps(tape, rows)
-    d_x = tape.gates[at] @ params.u
+def input_gradients(
+    params: LstmParams, tape: LstmTape, bounds: list[int]
+) -> np.ndarray:
+    """Input gradients of every step of a walked run, row after row.  The
+    steps between each two consecutive `bounds` (0 first, the run's steps
+    last, whole rows between) take one product over their own steps
+    alone, so they get the bits of their rows walked back alone; the
+    input mask then multiplies all steps at once."""
+    gates = _walked(tape).gates
+    d_x = np.empty((bounds[-1], params.d_in), dtype=params.u.dtype)
+    for lo, hi in zip(bounds, bounds[1:]):
+        np.matmul(gates[tape.index[lo:hi]], params.u, out=d_x[lo:hi])
+    mask = tape.in_mask
     if mask is not None:
-        d_x *= mask
+        d_x *= mask if mask.ndim == 1 else np.repeat(mask, tape.lengths, axis=0)
     return d_x
 
 

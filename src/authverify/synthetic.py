@@ -55,6 +55,8 @@ class SyntheticSpec:
             raise ValueError("vocab_size must leave room for the period token")
         if self.n_authors < 2:
             raise ValueError("need at least 2 authors to form label-0 pairs")
+        if self.n_instances < 1:
+            raise ValueError("n_instances must be >= 1")
         if self.min_tokens < 2:
             raise ValueError("min_tokens must be >= 2 (one word plus the period)")
         if self.n_authors * self.support_size > self.vocab_size - 1:

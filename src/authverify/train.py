@@ -240,7 +240,7 @@ def batch_gradients(
     n = len(batch)
     docs = [doc for pair in batch for doc in (pair.known, pair.unknown)]
     masks = (
-        [sample_dropout_masks(dims, config.dropout_rate, rng) for _ in docs]
+        sample_dropout_masks(dims, config.dropout_rate, rng, len(docs))
         if config.dropout_rate > 0.0 else None
     )
     x, tape = encode_documents(params, docs, masks, record=True)

@@ -55,6 +55,20 @@ class TestSynthetic:
         instances = load_corpus(str(corpus))
         assert len(instances) == 60
 
+    @pytest.mark.parametrize(
+        "flag, value, low",
+        [("--instances", "0", 1), ("--instances", "-5", 1),
+         ("--authors", "1", 2), ("--authors", "0", 2)],
+    )
+    def test_counts_below_their_least_rejected(self, tmp_path, flag, value, low, capsys):
+        corpus, emb = tmp_path / "corpus.jsonl", tmp_path / "embeddings.txt"
+        with pytest.raises(SystemExit) as exc:
+            main(["synthetic", "--corpus", str(corpus), "--embeddings", str(emb),
+                  flag, value])
+        assert exc.value.code == 2
+        assert f"{flag}: must be at least {low}" in capsys.readouterr().err
+        assert not corpus.exists() and not emb.exists()
+
 
 class TestTrainVerify:
     def test_train_then_verify(self, workspace):

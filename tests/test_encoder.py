@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,11 @@ class TestEncodeDocument:
             assert a.shape[0] == doc.token_count
 
 
+def mask_row(masks, j):
+    """Document j's masks of a many-document draw, as one-row masks."""
+    return DropoutMasks(*(getattr(masks, f.name)[j : j + 1] for f in fields(masks)))
+
+
 class TestEmbedDocuments:
     def mixed_docs(self, rng, d_w):
         """Different sentence counts, a one-sentence document, and tight
@@ -168,10 +175,7 @@ class TestEmbedDocuments:
         dims = (20, 10, 5)
         params = init_encoder_params(*dims, rng=rng)
         docs = self.mixed_docs(rng, dims[0])
-        masks = (
-            [sample_dropout_masks(dims, 0.3, rng) for _ in docs]
-            if with_masks else None
-        )
+        masks = sample_dropout_masks(dims, 0.3, rng, len(docs)) if with_masks else None
         x = embed_documents(params, docs, masks)
         assert x.shape == (len(docs), dims[2])
         # a run without a tape takes GEMMs, whose last bits depend on the
@@ -179,14 +183,14 @@ class TestEmbedDocuments:
         assert embed_documents(params, docs, masks).tobytes() == x.tobytes()
         for j, doc in enumerate(docs):
             ref, _ = encode_document_training(
-                params, doc, masks[j] if with_masks else None
+                params, doc, mask_row(masks, j) if with_masks else None
             )
             np.testing.assert_allclose(
                 x[j], ref, rtol=1e-12, atol=1e-15, err_msg=f"row {j}"
             )
         if with_masks:
             np.testing.assert_allclose(
-                encode_document(params, docs[2], masks[2]), x[2], rtol=1e-12, atol=1e-15
+                encode_document(params, docs[2], mask_row(masks, 2)), x[2], rtol=1e-12, atol=1e-15
             )
 
     def test_no_documents(self, rng):
@@ -201,7 +205,7 @@ class TestEmbedDocuments:
         dims = (20, 10, 5)
         params = init_encoder_params(*dims, rng=rng)
         docs = shared_word_docs(rng, dims[0])
-        masks = [sample_dropout_masks(dims, 0.3, rng) for _ in docs]
+        masks = sample_dropout_masks(dims, 0.3, rng, len(docs))
         x, tape = encode_documents(params, docs, masks, record=record)
         assert (tape is not None) == record
         plain, _ = encode_documents(params, docs, record=record)
@@ -217,8 +221,8 @@ class TestEmbedDocuments:
                 np.testing.assert_allclose(row, taped, **close)
 
         for j, doc in enumerate(docs):
-            check(x[j], encode_document(params, doc, masks[j]),
-                  encode_document_training(params, doc, masks[j])[0], j)
+            check(x[j], encode_document(params, doc, mask_row(masks, j)),
+                  encode_document_training(params, doc, mask_row(masks, j))[0], j)
             check(plain[j], encode_document(params, doc),
                   encode_document_training(params, doc)[0], j)
 
@@ -228,7 +232,7 @@ class TestEmbedDocuments:
         dims = (20, 10, 5)
         params = init_encoder_params(*dims, rng=rng)
         docs = shared_word_docs(rng, dims[0])
-        masks = [sample_dropout_masks(dims, 0.3, rng) for _ in docs]
+        masks = sample_dropout_masks(dims, 0.3, rng, len(docs))
         projected = []
 
         def counting(product):
@@ -279,6 +283,29 @@ class TestSampleDropoutMasks:
     def test_rejects_rate_one(self, rng):
         with pytest.raises(ValueError):
             sample_dropout_masks((2, 2, 2), 1.0, rng)
+
+    @staticmethod
+    def one_document_draws(dims, rate, rng):
+        """The earlier body of `sample_dropout_masks`, one document's masks
+        by four draws in field order: the reference of the n-row draw."""
+        keep = 1.0 - rate
+        return [(rng.random(dim) >= rate).astype(np.float64) / keep
+                for dim in (dims[0], dims[1], dims[1], dims[2])]
+
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    @pytest.mark.parametrize("n", [1, 2, 32])
+    def test_n_documents_are_n_one_document_draws(self, n, rate):
+        dims = (20, 10, 5)
+        rng, ref_rng = make_rng(41), make_rng(41)
+        masks = sample_dropout_masks(dims, rate, rng, n)
+        ref = [self.one_document_draws(dims, rate, ref_rng) for _ in range(n)]
+        for k, (f, dim) in enumerate(zip(fields(masks), (20, 10, 10, 5))):
+            got = getattr(masks, f.name)
+            assert got.shape == (n, dim), f.name
+            expected = np.stack([doc[k] for doc in ref])
+            assert got.tobytes() == expected.tobytes(), f.name
+        # the generator is left where the n one-document draws leave it
+        assert rng.random() == ref_rng.random()
 
 
 class TestEncoderBackward:

@@ -9,8 +9,7 @@ import pytest
 import authverify.evaluate
 import authverify.train
 from authverify.embeddings import EmbeddingTable
-from authverify.encoder import encode_document as embed_document
-from authverify.encoder import init_encoder_params
+from authverify.encoder import embed_documents, init_encoder_params
 from authverify.evaluate import (
     ConfusionCounts,
     CvReport,
@@ -211,12 +210,13 @@ class TestVerifyPair:
         assert s1 == s2
 
     def test_matches_padded_encoding_bit_for_bit(self):
+        # padding invariance, and the same GEMM rows: verify_pair embeds
+        # the two unpadded encodings in one call, as this does the padded
         model = self.make_model()
         a, b = "W1 w2 w3. W4 w5.", "W9 w8. W7 w6 w5. W1."
         caps = (model.config.max_words, model.config.max_sentences)
-        x_a, x_b = (
-            embed_document(model.params, encode_text(t, model.table, *caps))
-            for t in (a, b)
+        x_a, x_b = embed_documents(
+            model.params, [encode_text(t, model.table, *caps) for t in (a, b)]
         )
         assert verify_pair(model, a, b).distance == distance(x_a, x_b)
 

@@ -30,6 +30,35 @@ class TestSigmoid:
         z = np.linspace(-30, 30, 201)
         np.testing.assert_allclose(sigmoid(z), 1.0 / (1.0 + np.exp(-z)), rtol=1e-12)
 
+    @staticmethod
+    def masked_copy_sigmoid(z, out=None):
+        """The earlier body of `sigmoid`, which set the numerator to 1.0
+        where z >= 0 by a masked copy: the byte reference of the max."""
+        t = np.abs(z)
+        np.negative(t, out=t)
+        np.exp(t, out=t)
+        d = t + 1.0
+        np.copyto(t, 1.0, where=z >= 0.0)
+        return np.divide(t, d, out=out)
+
+    @pytest.mark.parametrize("aliased", [False, True])
+    @pytest.mark.parametrize("sliced", [False, True])
+    def test_bytes_match_masked_copy(self, sliced, aliased):
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                   710.0, -710.0, 800.0, -800.0]
+        rng = make_rng(17)
+        z = rng.normal(size=(40, 24)) * rng.choice([1.0, 10.0, 100.0], size=(40, 1))
+        z[0, : len(special)] = special
+        z[-1, 4 : 4 + len(special)] = special
+        ref_in, new_in = z.copy(), z.copy()
+        if sliced:  # column slices, as the LSTM's gate blocks are
+            ref_in, new_in = ref_in[:, 2:18], new_in[:, 2:18]
+            assert not new_in.flags.c_contiguous
+        ref = self.masked_copy_sigmoid(ref_in, out=ref_in if aliased else None)
+        got = sigmoid(new_in, out=new_in if aliased else None)
+        assert (got is new_in) == aliased
+        np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
+
 
 class TestLstmParams:
     def test_init_uniform_range_and_determinism(self):

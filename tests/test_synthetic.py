@@ -74,6 +74,11 @@ class TestGenerateCorpus:
         with pytest.raises(ValueError):
             SyntheticSpec(min_tokens=1)
 
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_rejects_fewer_than_one_instance(self, n):
+        with pytest.raises(ValueError, match="n_instances"):
+            SyntheticSpec(n_instances=n)
+
 
 class TestWriteSynthetic:
     def test_written_files_loadable(self, tmp_path):

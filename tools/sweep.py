@@ -15,6 +15,12 @@ drift.  Per seed it reports:
 - `accuracy_dev_calibrated`: test accuracy at `calibrate_tau` over the
   selected epoch's dev distances, as `cross_validate` reports per fold;
 - `margin`: mean different-author minus mean same-author test distance;
+- `fp_collision`, `fp_corner` and `fp_other`: the false positives split
+  by distance into collisions (d < 0.5: two authors mapped to one
+  point), corners (1.8 <= d < 2.0, just under the midpoint, where two
+  saturated embeddings one coordinate apart lie) and the rest;
+- `saturation`: the share of the test documents' embedding coordinates
+  with |x| > 0.99;
 - `epochs`, `best_epoch` and `seconds` (corpus, fit and test scoring);
 - `mean_vector_accuracy`: a baseline without training, the Euclidean
   distance of each side's mean word vector, thresholded by `calibrate_tau`
@@ -32,7 +38,7 @@ each with BLAS pinned to one thread, and the whole sweep is written as one
 JSON file, with one line per run printed as it finishes.  Without an
 importable `authverify` the tool falls back to the `src/` of its own tree.
 It is not part of the test suite; seeds 7-13 of both recipes above take
-about 80 seconds on a 2-CPU host.
+about a minute on a 2-CPU host.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ import platform
 import sys
 import tempfile
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor, as_completed
 
 # One BLAS thread, set before numpy loads and inherited by the workers:
@@ -71,6 +78,9 @@ from authverify.synthetic import (  # noqa: E402
 from test_acceptance import bench_config  # noqa: E402
 
 PROCESSES = 2
+COLLISION = 0.5  # false positives closer than this are collisions
+CORNER = (1.8, 2.0)  # ... and in this band, adjacent corners of the box
+SATURATED = 0.99  # an embedding coordinate beyond this is saturated
 
 
 def parse_recipe(text: str) -> dict:
@@ -109,6 +119,16 @@ def mean_vector_distances(pairs) -> list[float]:
     ]
 
 
+def false_positive_buckets(distances, labels, tau: float) -> dict:
+    """The false positives at `tau` by distance: collision, corner, other."""
+    buckets = Counter(
+        "fp_collision" if d < COLLISION
+        else "fp_corner" if CORNER[0] <= d < CORNER[1] else "fp_other"
+        for d, label in zip(distances, labels) if label == 0 and d < tau
+    )
+    return {k: buckets[k] for k in ("fp_collision", "fp_corner", "fp_other")}
+
+
 def run_seed(overrides: dict, seed: int) -> dict:
     started = time.perf_counter()
     instances, table = criterion6_corpus()
@@ -127,6 +147,7 @@ def run_seed(overrides: dict, seed: int) -> dict:
     counts = av.counts_at_threshold(distances, labels, config.thresholds.midpoint)
     tau = av.calibrate_tau(result.dev_distances, dev_labels)
     d, y = np.array(distances), np.array(labels)
+    x = av.embed_documents(result.params, [doc for p in test for doc in (p.known, p.unknown)])
     seconds = time.perf_counter() - started
 
     base_tau = av.calibrate_tau(mean_vector_distances(dev), dev_labels)
@@ -140,6 +161,8 @@ def run_seed(overrides: dict, seed: int) -> dict:
             av.counts_at_threshold(distances, labels, tau)
         ).accuracy,
         "margin": float(d[y == 0].mean() - d[y == 1].mean()),
+        **false_positive_buckets(distances, labels, config.thresholds.midpoint),
+        "saturation": float(np.mean(np.abs(x) > SATURATED)),
         "epochs": len(result.log),
         "best_epoch": result.best_epoch,
         "seconds": round(seconds, 2),
@@ -155,6 +178,8 @@ def summary(runs: list[dict]) -> dict:
         "accuracy_dev_calibrated_mean": float(
             np.mean([r["accuracy_dev_calibrated"] for r in runs])
         ),
+        **{k: sum(r[k] for r in runs) for k in ("fp_collision", "fp_corner", "fp_other")},
+        "saturation_mean": float(np.mean([r["saturation"] for r in runs])),
     }
 
 
