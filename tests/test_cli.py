@@ -60,7 +60,9 @@ class TestSynthetic:
         [("--instances", "0", 1), ("--instances", "-5", 1),
          ("--authors", "1", 2), ("--authors", "0", 2)],
     )
-    def test_counts_below_their_least_rejected(self, tmp_path, flag, value, low, capsys):
+    def test_counts_below_their_least_rejected(
+        self, tmp_path, flag, value, low, capsys
+    ):
         corpus, emb = tmp_path / "corpus.jsonl", tmp_path / "embeddings.txt"
         with pytest.raises(SystemExit) as exc:
             main(["synthetic", "--corpus", str(corpus), "--embeddings", str(emb),

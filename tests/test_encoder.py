@@ -190,7 +190,8 @@ class TestEmbedDocuments:
             )
         if with_masks:
             np.testing.assert_allclose(
-                encode_document(params, docs[2], mask_row(masks, 2)), x[2], rtol=1e-12, atol=1e-15
+                encode_document(params, docs[2], mask_row(masks, 2)), x[2],
+                rtol=1e-12, atol=1e-15,
             )
 
     def test_no_documents(self, rng):

@@ -79,8 +79,9 @@ from test_acceptance import bench_config  # noqa: E402
 
 PROCESSES = 2
 COLLISION = 0.5  # false positives closer than this are collisions
-CORNER = (1.8, 2.0)  # ... and in this band, adjacent corners of the box
+CORNER = (1.8, 2.0)  # ... in this band, corners of the box one coordinate apart
 SATURATED = 0.99  # an embedding coordinate beyond this is saturated
+FP_BUCKETS = ("fp_collision", "fp_corner", "fp_other")
 
 
 def parse_recipe(text: str) -> dict:
@@ -126,7 +127,7 @@ def false_positive_buckets(distances, labels, tau: float) -> dict:
         else "fp_corner" if CORNER[0] <= d < CORNER[1] else "fp_other"
         for d, label in zip(distances, labels) if label == 0 and d < tau
     )
-    return {k: buckets[k] for k in ("fp_collision", "fp_corner", "fp_other")}
+    return {k: buckets[k] for k in FP_BUCKETS}
 
 
 def run_seed(overrides: dict, seed: int) -> dict:
@@ -147,7 +148,9 @@ def run_seed(overrides: dict, seed: int) -> dict:
     counts = av.counts_at_threshold(distances, labels, config.thresholds.midpoint)
     tau = av.calibrate_tau(result.dev_distances, dev_labels)
     d, y = np.array(distances), np.array(labels)
-    x = av.embed_documents(result.params, [doc for p in test for doc in (p.known, p.unknown)])
+    x = av.embed_documents(
+        result.params, [doc for p in test for doc in (p.known, p.unknown)]
+    )
     seconds = time.perf_counter() - started
 
     base_tau = av.calibrate_tau(mean_vector_distances(dev), dev_labels)
@@ -178,7 +181,7 @@ def summary(runs: list[dict]) -> dict:
         "accuracy_dev_calibrated_mean": float(
             np.mean([r["accuracy_dev_calibrated"] for r in runs])
         ),
-        **{k: sum(r[k] for r in runs) for k in ("fp_collision", "fp_corner", "fp_other")},
+        **{k: sum(r[k] for r in runs) for k in FP_BUCKETS},
         "saturation_mean": float(np.mean([r["saturation"] for r in runs])),
     }
 
