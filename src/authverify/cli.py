@@ -64,10 +64,10 @@ def _write_or_print(text: str, out_path: str | None) -> None:
 
 
 def _cmd_synthetic(args) -> int:
-    spec = SyntheticSpec(
-        n_authors=args.authors,
-        n_instances=args.instances,
-    )
+    try:
+        spec = SyntheticSpec(n_authors=args.authors, n_instances=args.instances)
+    except ValueError as exc:
+        args.usage_error(str(exc))
     instances = write_synthetic(
         args.corpus, args.embeddings, spec, seed=args.seed if args.seed is not None else 0
     )
@@ -195,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instances", type=_int_at_least(1), default=800)
     p.add_argument("--authors", type=_int_at_least(2), default=40)
     add_common(p, config=False)
-    p.set_defaults(func=_cmd_synthetic)
+    p.set_defaults(func=_cmd_synthetic, usage_error=p.error)
 
     p = sub.add_parser("train", help="train one model on an 80/10/10 split")
     p.add_argument("--corpus", required=True)
@@ -224,7 +224,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings", required=True)
     p.add_argument("--folds", type=_int_at_least(2), default=10)
     p.add_argument(
-        "--threads", type=_int_at_least(1), default=1, help="fold worker processes"
+        "--threads",
+        type=_int_at_least(1),
+        default=1,
+        metavar="N",
+        help="processes doing fold work: this one runs folds too and forks "
+        "N-1 children",
     )
     p.add_argument(
         "--deterministic",

@@ -12,6 +12,8 @@ stay in the training log and never enter a report.
 from __future__ import annotations
 
 import json
+import os
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -316,20 +318,88 @@ def _run_fold(
     )
 
 
-# The fold inputs of one fold worker process: (splits, encoded instances,
-# config, fold_seeds).  `_init_fold_worker` sets it in each worker; the
-# parent never does.
-_fold_inputs: tuple
+def _run_folds(
+    run_fold: Callable[[int], FoldResult], k: int, processes: int
+) -> list[FoldResult]:
+    """`run_fold(i)` for every i in range(k), in index order.
 
+    With `processes` > 1 the caller forks `processes` - 1 children, and
+    every process, the caller included, claims the next unclaimed fold
+    whenever it is free, so folds that stop at different epochs still
+    balance.  A child sends each result, or the exception that ended it,
+    over its own pipe; the caller drains the pipes between its own folds.
+    Every way out kills and reaps every child.
+    """
+    if processes == 1:
+        return [run_fold(i) for i in range(k)]
+    # Imported here: serial runs and importing this module need neither.
+    import multiprocessing
+    import traceback
+    from multiprocessing.connection import wait
 
-def _init_fold_worker(*fold_inputs) -> None:
-    global _fold_inputs
-    _fold_inputs = fold_inputs
+    ctx = multiprocessing.get_context("fork")
+    next_fold = ctx.Value("l", 0)
 
+    def claim() -> Iterator[int]:
+        while True:
+            with next_fold.get_lock():
+                i = next_fold.value
+                next_fold.value = i + 1
+            if i >= k:
+                return
+            yield i
 
-def _run_worker_fold(i: int) -> FoldResult:
-    splits, encoded, config, fold_seeds = _fold_inputs
-    return _run_fold(splits[i], encoded, config, fold_seeds[i])
+    def serve(sender) -> None:
+        try:
+            for i in claim():
+                sender.send((i, run_fold(i)))
+        except BaseException as exc:
+            exc.add_note(f"in fold process {os.getpid()}:\n{traceback.format_exc()}")
+            sender.send(exc)
+
+    children: list = []
+    receivers: dict = {}
+    results: dict[int, FoldResult] = {}
+
+    def collect(timeout: float | None) -> None:
+        for receiver in wait(list(receivers), timeout):
+            try:
+                message = receiver.recv()
+            except EOFError:
+                child = receivers.pop(receiver)
+                receiver.close()
+                child.join()
+                if child.exitcode != 0:
+                    raise RuntimeError(
+                        f"fold process {child.pid} ended with exit code "
+                        f"{child.exitcode} before reporting its folds"
+                    ) from None
+                continue
+            if isinstance(message, BaseException):
+                raise message
+            i, result = message
+            results[i] = result
+
+    try:
+        for _ in range(processes - 1):
+            receiver, sender = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=serve, args=(sender,), daemon=True)
+            child.start()
+            children.append(child)
+            sender.close()
+            receivers[receiver] = child
+        for i in claim():
+            results[i] = run_fold(i)
+            collect(0)
+        while receivers:
+            collect(None)
+    finally:
+        for child in children:
+            child.kill()
+            child.join()
+        for receiver in receivers:
+            receiver.close()
+    return [results[i] for i in range(k)]
 
 
 def cross_validate(
@@ -343,13 +413,14 @@ def cross_validate(
     test each fold's held-out instances at the midpoint threshold.
 
     Every text is encoded once, unpadded (`encode_texts`), before the
-    folds; each fold joins its pairs from those encodings.  With
-    `threads` > 1 the folds run in min(threads, k) worker processes
-    started by POSIX `fork`, which inherit the encodings rather than
-    receive them pickled; call it from the main thread of a process that
-    can fork.  Every fold derives its own random stream from the config
-    seed, so the report is identical whether folds run serially or in
-    workers; folds are aggregated in index order either way.
+    folds; each fold joins its pairs from those encodings.  `threads` is
+    the number of processes doing fold work: with n = min(threads, k) > 1
+    the caller runs folds too and forks n - 1 children by POSIX `fork`,
+    which inherit the encodings rather than receive them pickled; call it
+    from the main thread of a process that can fork.  Every fold derives
+    its own random stream from the config seed, so the report is
+    identical whichever process runs a fold; folds are aggregated in
+    index order either way.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
@@ -359,24 +430,11 @@ def cross_validate(
         entropy=config.seed, spawn_key=(1,)
     ).spawn(k)
     encoded = [encode_texts(x, table, config) for x in instances]
-
-    workers = min(threads, k)
-    if workers > 1:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_init_fold_worker,
-            initargs=(splits, encoded, config, fold_seeds),
-        ) as pool:
-            folds = list(pool.map(_run_worker_fold, range(k)))
-    else:
-        folds = [
-            _run_fold(splits[i], encoded, config, fold_seeds[i])
-            for i in range(k)
-        ]
+    folds = _run_folds(
+        lambda i: _run_fold(splits[i], encoded, config, fold_seeds[i]),
+        k,
+        min(threads, k),
+    )
     return CvReport(folds=folds, seed=config.seed, config=config)
 
 

@@ -71,6 +71,18 @@ class TestSynthetic:
         assert f"{flag}: must be at least {low}" in capsys.readouterr().err
         assert not corpus.exists() and not emb.exists()
 
+    def test_spec_rejection_is_a_usage_error(self, tmp_path, capsys):
+        # 50 authors x 4 support words do not fit the default 199 content words
+        corpus, emb = tmp_path / "corpus.jsonl", tmp_path / "embeddings.txt"
+        with pytest.raises(SystemExit) as exc:
+            main(["synthetic", "--corpus", str(corpus), "--embeddings", str(emb),
+                  "--authors", "50"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage: authverify synthetic" in err
+        assert "author supports cannot partition the content vocabulary" in err
+        assert not corpus.exists() and not emb.exists()
+
 
 class TestTrainVerify:
     def test_train_then_verify(self, workspace):

@@ -329,22 +329,57 @@ class TestCrossValidate:
             cross_validate(corpus, word_table(), quick_cv_config(), k=4, threads=2)
         assert multiprocessing.active_children() == []
 
+    @staticmethod
+    def fail_outside_caller(monkeypatch, fail):
+        """Patch `_run_fold` so that every fold run outside the calling
+        process sets an inherited event and then calls `fail(split)`, while
+        the caller's folds wait on that event: some fold certainly runs in
+        a child, whichever process claims which fold."""
+        run_fold, caller = authverify.evaluate._run_fold, os.getpid()
+        child_ran = multiprocessing.get_context("fork").Event()
+
+        def patched(split, *args):
+            if os.getpid() != caller:
+                child_ran.set()
+                fail(split)
+            assert child_ran.wait(timeout=60), "no fold ran outside the caller"
+            return run_fold(split, *args)
+
+        monkeypatch.setattr(authverify.evaluate, "_run_fold", patched)
+
     def test_fold_failing_in_a_worker_reraises_and_leaves_no_worker(
         self, monkeypatch
     ):
-        run_fold = authverify.evaluate._run_fold
+        def fail(split):
+            raise FloatingPointError(
+                f"fold {split.fold_index} failed in process {os.getpid()}"
+            )
 
-        def failing(split, *args):
-            if split.fold_index == 2:
-                raise FloatingPointError(f"fold 2 failed in process {os.getpid()}")
-            return run_fold(split, *args)
-
-        monkeypatch.setattr(authverify.evaluate, "_run_fold", failing)
-        with pytest.raises(FloatingPointError, match="fold 2") as failure:
+        self.fail_outside_caller(monkeypatch, fail)
+        with pytest.raises(FloatingPointError, match="failed in process") as failure:
             cross_validate(
                 small_corpus(), word_table(), quick_cv_config(), k=4, threads=2
             )
         assert int(str(failure.value).split()[-1]) != os.getpid()
+        assert multiprocessing.active_children() == []
+
+    def test_worker_dying_without_report_raises_and_leaves_no_worker(
+        self, monkeypatch
+    ):
+        self.fail_outside_caller(monkeypatch, lambda split: os._exit(3))
+        with pytest.raises(RuntimeError):
+            cross_validate(
+                small_corpus(), word_table(), quick_cv_config(), k=4, threads=2
+            )
+        assert multiprocessing.active_children() == []
+
+    def test_leave_one_out_in_three_processes_matches_sequential(self):
+        # more processes than CPUs, uneven claiming, many folds per child
+        seq = cross_validate(small_corpus(), word_table(), quick_cv_config(), k=40)
+        par = cross_validate(
+            small_corpus(), word_table(), quick_cv_config(), k=40, threads=3
+        )
+        assert seq.to_json() == par.to_json()
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("threads", [0, -1])

@@ -23,9 +23,9 @@ Prints one JSON line of sha256 digests:
   `bench_config().updated(max_epochs=2, patience=2)`, seed 42,
   `threads=1`) with its `config` object removed; `cv_config_keys` lists that
   object's keys, the one part expected to change when a config field is
-  added or retired.  The same report is also built with `threads=2`,
-  and the script exits non-zero if the fold worker processes give a
-  different report;
+  added or retired.  The same report is also built with `threads=2`
+  and `threads=3`, and the script exits non-zero unless each has the
+  bytes of the `threads=1` report;
 - `verify`: `verify_pair` distances on 20 pairs of a 300-d corpus, two
   known texts joined against the unknown one, under `TrainConfig()`
   (the paper dims, 300/150/75) with initial weights drawn from seed 0.
@@ -220,9 +220,12 @@ def main() -> None:
         instances, table = load_table(tmp, SyntheticSpec(n_instances=120), seed=11)
         cv_config = bench_config().updated(max_epochs=2, patience=2, seed=42)
         report = av.cross_validate(instances, table, cv_config, k=10, threads=1)
-        pooled = av.cross_validate(instances, table, cv_config, k=10, threads=2)
-        if pooled.to_json() != report.to_json():
-            sys.exit("cross_validate(threads=2) differs from threads=1")
+        for threads in (2, 3):
+            forked = av.cross_validate(
+                instances, table, cv_config, k=10, threads=threads
+            )
+            if forked.to_json() != report.to_json():
+                sys.exit(f"cross_validate(threads={threads}) differs from threads=1")
         payload = report.to_json_dict()
         out["cv_config_keys"] = sorted(payload.pop("config"))
         out["cv"] = hashlib.sha256(
