@@ -37,7 +37,7 @@ from .preprocess import (
     tokenize,
 )
 from .synthetic import SyntheticSpec, write_synthetic
-from .train import TrainConfig, fit, make_cv_splits
+from .train import SplitError, TrainConfig, fit, make_cv_splits
 
 __all__ = ["main", "build_parser"]
 
@@ -108,7 +108,7 @@ def _explain(text: str, model: Model) -> dict[str, int]:
     OOV token counts once, and are the rows level 1 projects."""
     caps = (model.config.max_words, model.config.max_sentences)
     sentences = segment_sentences(normalize_text(text))
-    doc = encode_document(text, model.table, *caps, pad=False)
+    doc = encode_document(text, model.table, *caps)
     return {
         "sentences": doc.num_sentences,
         "tokens": doc.token_count,
@@ -185,6 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, config=True):
+        p.set_defaults(usage_error=p.error)
         if config:
             p.add_argument("--config", help="JSON file of TrainConfig overrides")
         p.add_argument("--seed", type=int, default=None, help="master random seed")
@@ -195,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instances", type=_int_at_least(1), default=800)
     p.add_argument("--authors", type=_int_at_least(2), default=40)
     add_common(p, config=False)
-    p.set_defaults(func=_cmd_synthetic, usage_error=p.error)
+    p.set_defaults(func=_cmd_synthetic)
 
     p = sub.add_parser("train", help="train one model on an 80/10/10 split")
     p.add_argument("--corpus", required=True)
@@ -253,7 +254,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SplitError as exc:  # a corpus too small for its split
+        args.usage_error(str(exc))
 
 
 if __name__ == "__main__":

@@ -296,7 +296,7 @@ def _run_fold(
         config,
         rng=rng,
     )
-    test_pairs = [encoded[i].joined(config.max_sentences) for i in split.test_ids]
+    test_pairs = [encoded[i].joined() for i in split.test_ids]
     test_distances, test_labels = pair_distances(result.params, test_pairs)
     counts = counts_at_threshold(
         test_distances, test_labels, config.thresholds.midpoint
@@ -412,12 +412,12 @@ def cross_validate(
     """k-fold cross-validation: fit on train with dev early stopping, then
     test each fold's held-out instances at the midpoint threshold.
 
-    Every text is encoded once, unpadded (`encode_texts`), before the
-    folds; each fold joins its pairs from those encodings.  `threads` is
-    the number of processes doing fold work: with n = min(threads, k) > 1
-    the caller runs folds too and forks n - 1 children by POSIX `fork`,
-    which inherit the encodings rather than receive them pickled; call it
-    from the main thread of a process that can fork.  Every fold derives
+    Every text is encoded once (`encode_texts`), before the folds; each
+    fold joins its pairs from those encodings.  `threads` is the number
+    of processes doing fold work: with n = min(threads, k) > 1 the caller
+    runs folds too and forks n - 1 children by POSIX `fork`, which
+    inherit the encodings rather than receive them pickled; call it from
+    the main thread of a process that can fork.  Every fold derives
     its own random stream from the config seed, so the report is
     identical whichever process runs a fold; folds are aggregated in
     index order either way.
@@ -441,10 +441,9 @@ def cross_validate(
 def verify_pair(model: Model, doc_a: str, doc_b: str) -> PairScore:
     """Full inference pipeline on two raw texts: normalize, segment,
     tokenize, encode, measure, decide.  Deterministic for a fixed model.
-    The documents are encoded without their padded rows, which the
-    encoder never reads, and embedded together in one call."""
+    The two documents are embedded together in one call."""
     caps = (model.config.max_words, model.config.max_sentences)
-    enc_a = encode_document(doc_a, model.table, *caps, pad=False)
-    enc_b = encode_document(doc_b, model.table, *caps, pad=False)
+    enc_a = encode_document(doc_a, model.table, *caps)
+    enc_b = encode_document(doc_b, model.table, *caps)
     x_a, x_b = embed_documents(model.params, [enc_a, enc_b])
     return decide(distance(x_a, x_b), model.thresholds)

@@ -4,8 +4,8 @@ Pipeline: noise normalization with universal tokens, rule-based sentence
 segmentation, tokenization, truncation to (max sentences, max words per
 sentence) bounds, and resolution of each kept token to its row of the
 embedding table's matrix.  A document is stored as those ids and its
-sentence lengths; the padded tensor of its word vectors is built only
-when asked for (`EncodedDocument.words`).
+sentence lengths under the caps; the padded tensor of its word vectors
+is built only when asked for (`EncodedDocument.words`).
 
 The normalization and segmentation rules are deliberately simple,
 versioned patterns (no external NLP dependency):
@@ -251,9 +251,10 @@ class EncodedDocument:
     sentence, with row 0 the OOV vector; sent_lengths holds the token
     count of each real sentence (1 to max_words) and sent_oov its
     out-of-vocabulary count (zeros if not given).  `words` is built on
-    demand: the (max_sentences, max_words, dim) tensor of word vectors,
-    zero in every padded position.  The id form is built by
-    `encode_document` and `join_encoded`, and is not checked again.
+    demand at the caps it was encoded under: the (max_sentences,
+    max_words, dim) tensor of word vectors, zero in every padded
+    position.  The id form is built by `encode_document` and
+    `join_encoded`, and is not checked again.
 
     `EncodedDocument(words, sent_lengths, num_sentences)` takes such a
     tensor instead, checked: its real vectors, packed behind a zero row,
@@ -311,21 +312,14 @@ class EncodedDocument:
 
 
 def encode_document(
-    text: str,
-    table: EmbeddingTable,
-    max_words: int,
-    max_sentences: int,
-    *,
-    pad: bool = True,
+    text: str, table: EmbeddingTable, max_words: int, max_sentences: int
 ) -> EncodedDocument:
     """Normalize, segment, tokenize, and resolve a document to token ids
     into `table.matrix`.
 
     Keeps the first max_sentences sentences and the first max_words
-    tokens of each.  `pad` sets only the row count of the document's
-    `words` view: exactly (max_sentences, max_words, table.dim), or with
-    pad=False (num_sentences, max_words, table.dim), every row the
-    encoder reads.
+    tokens of each; the document's `words` view is
+    (max_sentences, max_words, table.dim).
     """
     if max_words < 1 or max_sentences < 1:
         raise ValueError("max_words and max_sentences must be >= 1")
@@ -339,17 +333,14 @@ def encode_document(
     oov = np.add.reduceat(ids == 0, starts, dtype=np.int64)
     return EncodedDocument(
         sent_lengths=lengths, sent_oov=oov, ids=ids, matrix=table.matrix,
-        max_words=max_words, max_sentences=max_sentences if pad else len(tokens),
+        max_words=max_words, max_sentences=max_sentences,
     )
 
 
-def join_encoded(
-    parts: list[EncodedDocument | None], max_sentences: int | None = None
-) -> EncodedDocument:
+def join_encoded(parts: list[EncodedDocument | None]) -> EncodedDocument:
     """`encode_document` of texts joined by newlines, from each text's
     `encode_document` at the same caps (None if it segments to nothing):
-    their sentences in order, cut to `max_sentences` and, when the caller
-    leaves the cap to the padded parts' row count, padded to it; a lone
+    their sentences in order, cut to the parts' `max_sentences`; a lone
     part is returned itself.  Exact because a newline is a hard sentence
     boundary that no normalization pattern crosses.  The parts must index
     one matrix."""
@@ -361,7 +352,7 @@ def join_encoded(
     matrix = parts[0].matrix
     if any(p.matrix is not matrix for p in parts):
         raise ValueError("parts index different embedding matrices")
-    cap = parts[0].max_sentences if max_sentences is None else max_sentences
+    cap = parts[0].max_sentences
     lengths = np.concatenate([p.sent_lengths for p in parts])[:cap]
     return EncodedDocument(
         sent_lengths=lengths,
@@ -369,7 +360,7 @@ def join_encoded(
         ids=np.concatenate([p.ids for p in parts])[: lengths.sum()],
         matrix=matrix,
         max_words=parts[0].max_words,
-        max_sentences=cap if max_sentences is None else len(lengths),
+        max_sentences=cap,
     )
 
 

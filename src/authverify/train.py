@@ -50,6 +50,7 @@ __all__ = [
     "TrainConfig",
     "AdadeltaState",
     "CvSplit",
+    "SplitError",
     "EncodedPair",
     "EncodedInstance",
     "FitResult",
@@ -312,6 +313,10 @@ def augment_epoch(known: list[list], rng: np.random.Generator) -> list[list]:
     ]
 
 
+class SplitError(ValueError):
+    """A corpus too small for the cross-validation split asked of it."""
+
+
 @dataclass(frozen=True)
 class CvSplit:
     """One cross-validation fold: disjoint train/dev/test instance ids."""
@@ -329,13 +334,14 @@ def make_cv_splits(
     test fold, and the remainder of each fold splits train:dev at 8:1.
 
     Fold sizes differ by at most one when k does not divide the corpus.
+    A corpus that leaves a fold empty or without a train set is rejected.
     """
     if rng is None:
         raise ValueError("make_cv_splits requires an explicit rng")
     if k < 2:
         raise ValueError(f"need at least 2 folds, got {k}")
     if corpus_size < k:
-        raise ValueError(f"corpus size {corpus_size} is smaller than k = {k}")
+        raise SplitError(f"corpus size {corpus_size} is smaller than k = {k}")
     ids = [int(i) for i in rng.permutation(corpus_size)]
     base, extra = divmod(corpus_size, k)
     folds: list[list[int]] = []
@@ -351,6 +357,8 @@ def make_cv_splits(
             if j != i:
                 rest.extend(folds[j])
         dev_size = max(1, round(len(rest) / 9))
+        if len(rest) <= dev_size:
+            raise SplitError(f"empty train set: {corpus_size} instances in {k} folds")
         splits.append(
             CvSplit(
                 fold_index=i,
@@ -371,38 +379,35 @@ class EncodedInstance(NamedTuple):
     unknown: EncodedDocument
     label: int
 
-    def joined(self, max_sentences: int | None) -> EncodedPair:
+    def joined(self) -> EncodedPair:
         """The pair, its known side joined by `join_encoded` in the
         known texts' current order."""
-        known = join_encoded(self.known, max_sentences)
-        return EncodedPair(known, self.unknown, self.label)
+        return EncodedPair(join_encoded(self.known), self.unknown, self.label)
 
 
 def encode_texts(
-    inst: VerificationInstance, table: EmbeddingTable, config: TrainConfig, pad=False
+    inst: VerificationInstance, table: EmbeddingTable, config: TrainConfig
 ) -> EncodedInstance:
-    """Every text of the instance encoded once; `pad` is passed to
-    `encode_document`.  A known text that segments to nothing becomes
-    None, since it adds no sentence to the known side."""
+    """Every text of the instance encoded once by `encode_document` at the
+    config's caps.  A known text that segments to nothing becomes None,
+    since it adds no sentence to the known side."""
     caps = (config.max_words, config.max_sentences)
     known = []
     for text in inst.known_docs:
         try:
-            known.append(encode_document(text, table, *caps, pad=pad))
+            known.append(encode_document(text, table, *caps))
         except EmptyDocumentError:
             known.append(None)
-    unknown = encode_document(inst.unknown_doc, table, *caps, pad=pad)
+    unknown = encode_document(inst.unknown_doc, table, *caps)
     return EncodedInstance(known, unknown, inst.label)
 
 
 def encode_instance(
-    inst: VerificationInstance, table: EmbeddingTable, config: TrainConfig, *, pad=True
+    inst: VerificationInstance, table: EmbeddingTable, config: TrainConfig
 ) -> EncodedPair:
     """Encode both sides of the pair; the known side joins the known
-    documents' encodings in their current order.  `pad` is passed to
-    `encode_document`: with False, neither side keeps padded rows."""
-    encoded = encode_texts(inst, table, config, pad)
-    return encoded.joined(None if pad else config.max_sentences)
+    documents' encodings in their current order."""
+    return encode_texts(inst, table, config).joined()
 
 
 # Pairs embedded together by `pair_distances`: one batch of the default
@@ -499,7 +504,7 @@ def fit(
     rng: np.random.Generator | None = None,
 ) -> FitResult:
     """Train until development accuracy stops improving: `fit_encoded` on
-    every text encoded once, unpadded (`encode_texts`)."""
+    every text encoded once (`encode_texts`)."""
     train = [encode_texts(x, table, config) for x in train_instances]
     dev = [encode_texts(x, table, config) for x in dev_instances]
     return fit_encoded(train, dev, config, rng)
@@ -532,11 +537,10 @@ def fit_encoded(
     )
     opt_state = AdadeltaState.zeros_like(params.arrays())
     thresholds = config.thresholds
-    dev_pairs = [x.joined(config.max_sentences) for x in dev]
+    dev_pairs = [x.joined() for x in dev]
 
     log: list[dict] = []
-    best_params = params.copy()
-    best_accuracy = -1.0
+    best_accuracy = -1.0  # below any accuracy: epoch 1 sets best_params
     best_epoch = 0
     best_distances: list[float] = []
     epochs_since_best = 0
@@ -544,8 +548,7 @@ def fit_encoded(
     for epoch in range(1, config.max_epochs + 1):
         started = time.perf_counter()
         known = augment_epoch([x.known for x in train], rng)
-        pairs = [x._replace(known=k).joined(config.max_sentences)
-                 for k, x in zip(known, train)]
+        pairs = [x._replace(known=k).joined() for k, x in zip(known, train)]
         order = rng.permutation(len(pairs))
         loss_sum = 0.0
         norm_sum = 0.0

@@ -11,7 +11,7 @@ from authverify.embeddings import load_embeddings
 from authverify.encoder import init_encoder_params
 from authverify.evaluate import Model, save_checkpoint, verify_pair
 from authverify.numeric import make_rng
-from authverify.preprocess import load_corpus
+from authverify.preprocess import load_corpus, save_corpus
 from authverify.siamese import SAME_AUTHOR
 from authverify.train import TrainConfig
 
@@ -258,6 +258,46 @@ class TestCrossValidateCommand:
             )
         assert exc.value.code == 2
         assert "--folds: must be at least 2" in capsys.readouterr().err
+
+
+class TestCorpusTooSmallForItsSplit:
+    def small_corpus(self, workspace, tmp_path, n):
+        _, corpus, _ = workspace
+        path = tmp_path / f"corpus_{n}.jsonl"
+        save_corpus(load_corpus(str(corpus))[:n], str(path))
+        return path
+
+    @pytest.mark.parametrize("command", ["cross-validate", "train"])
+    def test_fewer_instances_than_folds_is_a_usage_error(
+        self, workspace, tmp_path, command, capsys
+    ):
+        root, _, emb = workspace
+        corpus = self.small_corpus(workspace, tmp_path, 6)
+        out = tmp_path / "out.json"
+        flags = {"cross-validate": ["--folds", "10"],
+                 "train": ["--checkpoint", str(tmp_path / "model.npz")]}[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *flags, "--corpus", str(corpus), "--embeddings", str(emb),
+                  "--config", str(fast_config(root)), "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"usage: authverify {command}" in err
+        assert "corpus size 6 is smaller than k = 10" in err
+        assert not out.exists() and not (tmp_path / "model.npz").exists()
+
+    def test_empty_train_set_is_a_usage_error(self, workspace, tmp_path, capsys):
+        root, _, emb = workspace
+        corpus = self.small_corpus(workspace, tmp_path, 2)
+        out = tmp_path / "report.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["cross-validate", "--corpus", str(corpus), "--embeddings", str(emb),
+                  "--config", str(fast_config(root)), "--folds", "2",
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage: authverify cross-validate" in err
+        assert "empty train set" in err
+        assert not out.exists()
 
 
 class TestEntryPoint:

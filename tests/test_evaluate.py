@@ -210,8 +210,8 @@ class TestVerifyPair:
         assert s1 == s2
 
     def test_matches_padded_encoding_bit_for_bit(self):
-        # padding invariance, and the same GEMM rows: verify_pair embeds
-        # the two unpadded encodings in one call, as this does the padded
+        # the same GEMM rows: verify_pair embeds the two documents'
+        # encodings in one call, as this does
         model = self.make_model()
         a, b = "W1 w2 w3. W4 w5.", "W9 w8. W7 w6 w5. W1."
         caps = (model.config.max_words, model.config.max_sentences)

@@ -244,17 +244,6 @@ class TestEncodeDocument:
         assert enc.oov_count == 1
         assert enc.token_count == 4
 
-    def test_unpadded_holds_the_real_rows(self, tiny_table):
-        for doc in ("Cat.", "The zebra sat. The mat.", " ".join(["The cat sat."] * 12)):
-            padded = encode_document(doc, tiny_table, 3, 9)
-            tight = encode_document(doc, tiny_table, 3, 9, pad=False)
-            n = padded.num_sentences
-            assert tight.words.shape == (n, 3, 3)
-            np.testing.assert_array_equal(tight.words, padded.words[:n])
-            assert tight.num_sentences == n
-            np.testing.assert_array_equal(tight.sent_lengths, padded.sent_lengths)
-            np.testing.assert_array_equal(tight.sent_oov, padded.sent_oov)
-
 
 class TestEncodeDocumentThreads:
     def test_oov_counts_per_document_across_threads(self, tiny_table):
@@ -304,11 +293,10 @@ def fuzz_table():
     return EmbeddingTable(3, {t: rng.uniform(-1, 1, 3) for t in vocab})
 
 
-def lookup_words(text, table, max_words, max_sentences, pad):
+def lookup_words(text, table, max_words, max_sentences):
     """`EncodedDocument.words` by one `table.lookup` per kept token."""
     sentences = segment_sentences(normalize_text(text))[:max_sentences]
-    rows = max_sentences if pad else len(sentences)
-    words = np.zeros((rows, max_words, table.dim))
+    words = np.zeros((max_sentences, max_words, table.dim))
     for k, sentence in enumerate(sentences):
         for t, token in enumerate(tokenize(sentence)[:max_words]):
             words[k, t] = table.lookup(token)
@@ -321,11 +309,8 @@ class TestTokenIds:
         text=FUZZ_TEXT,
         max_words=st.integers(1, 6),
         max_sentences=st.integers(1, 5),
-        pad=st.booleans(),
     )
-    def test_words_are_the_looked_up_vectors(
-        self, text, max_words, max_sentences, pad
-    ):
+    def test_words_are_the_looked_up_vectors(self, text, max_words, max_sentences):
         # a non-zero OOV vector, and "Beta" beside its lowercase form
         rng = make_rng(10)
         vocab = ["alpha", "beta", "Beta", "word", "кошка", "<url>", ".", ","]
@@ -333,10 +318,10 @@ class TestTokenIds:
             3, {t: rng.uniform(-1, 1, 3) for t in vocab}, np.array([7.0, -7.0, 0.5])
         )
         try:
-            enc = encode_document(text, table, max_words, max_sentences, pad=pad)
+            enc = encode_document(text, table, max_words, max_sentences)
         except EmptyDocumentError:
             return
-        expected = lookup_words(text, table, max_words, max_sentences, pad)
+        expected = lookup_words(text, table, max_words, max_sentences)
         assert enc.words.shape == expected.shape
         assert enc.words.tobytes() == expected.tobytes()
         assert enc.matrix is table.matrix
@@ -385,41 +370,13 @@ class TestJoinEncoded:
                 join_encoded(parts)
             return
         joined = join_encoded(parts)
+        assert (joined.max_sentences, joined.max_words) == (max_sentences, max_words)
         assert joined.words.shape == expected.words.shape
         assert joined.words.tobytes() == expected.words.tobytes()
         assert joined.sent_lengths.tobytes() == expected.sent_lengths.tobytes()
         assert joined.num_sentences == expected.num_sentences
         assert joined.token_count == expected.token_count
         assert joined.oov_count == expected.oov_count
-
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(
-        texts=st.lists(FUZZ_TEXT, min_size=1, max_size=3),
-        max_words=st.integers(1, 6),
-        max_sentences=st.integers(1, 5),
-    )
-    def test_unpadded_join_is_the_real_rows_of_the_padded_join(
-        self, texts, max_words, max_sentences
-    ):
-        table = fuzz_table()
-
-        def encode(text, pad):
-            try:
-                return encode_document(text, table, max_words, max_sentences, pad=pad)
-            except EmptyDocumentError:
-                return None
-
-        padded = [encode(t, True) for t in texts]
-        if all(p is None for p in padded):
-            return
-        expected = join_encoded(padded)
-        joined = join_encoded([encode(t, False) for t in texts], max_sentences)
-        n = expected.num_sentences
-        assert joined.num_sentences == n
-        assert joined.words.shape == (n, max_words, table.dim)
-        assert joined.words.tobytes() == expected.words[:n].tobytes()
-        assert joined.sent_lengths.tobytes() == expected.sent_lengths.tobytes()
-        assert joined.sent_oov.tobytes() == expected.sent_oov.tobytes()
 
 
 # Reference text pipeline, the plain forms of normalize_text,
@@ -515,10 +472,9 @@ class TestReferencePipeline:
         text=ORACLE_TEXT,
         max_words=st.integers(1, 6),
         max_sentences=st.integers(1, 5),
-        pad=st.booleans(),
     )
     def test_pipeline_equals_the_reference_byte_for_byte(
-        self, text, max_words, max_sentences, pad
+        self, text, max_words, max_sentences
     ):
         normalized = reference_normalize_text(text)
         assert normalize_text(text) == normalized
@@ -527,17 +483,17 @@ class TestReferencePipeline:
         table = fuzz_table()
         if not sentences:
             with pytest.raises(EmptyDocumentError):
-                encode_document(text, table, max_words, max_sentences, pad=pad)
+                encode_document(text, table, max_words, max_sentences)
             return
         tokens = [tokenize(s)[:max_words] for s in sentences[:max_sentences]]
         ids = [table.ids(t) for t in tokens]
-        enc = encode_document(text, table, max_words, max_sentences, pad=pad)
+        enc = encode_document(text, table, max_words, max_sentences)
         assert enc.ids.tobytes() == np.array(sum(ids, []), dtype=np.int32).tobytes()
         assert enc.sent_lengths.tobytes() == np.array([len(t) for t in tokens]).tobytes()
         assert enc.sent_oov.tobytes() == np.array(
             [i.count(0) for i in ids], dtype=np.int64
         ).tobytes()
-        assert enc.max_sentences == (max_sentences if pad else len(tokens))
+        assert enc.max_sentences == max_sentences
         assert enc.max_words == max_words
 
 

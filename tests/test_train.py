@@ -14,6 +14,7 @@ from authverify.encoder import (
     init_encoder_params,
     sample_dropout_masks,
 )
+from authverify.evaluate import Model, cross_validate, verify_pair
 from authverify.gradcheck import compare_grads, numeric_gradient
 from authverify.lstm import LstmParams
 from authverify.numeric import clip_by_global_norm, make_rng
@@ -34,6 +35,7 @@ from authverify.siamese import (
 from authverify.train import (
     AdadeltaState,
     EncodedPair,
+    SplitError,
     TrainConfig,
     adadelta_update,
     augment_epoch,
@@ -390,22 +392,21 @@ class TestBatchGradients:
 
     def test_default_recipe_matches_per_document_passes_bitwise(self):
         # in-batch negatives and dropout: documents of 1-3 sentences, known
-        # sides joined from two texts (padded, and unpadded at cap 3)
+        # sides joined from two texts
         rng = make_rng(36)
         params = init_encoder_params(3, 2, 2, -0.5, 0.5, rng=rng)
 
-        def doc(*lengths, pad=True):
-            return random_doc(rng, 3, list(lengths), 3, 3 if pad else len(lengths))
+        def doc(*lengths):
+            return random_doc(rng, 3, list(lengths), 3, 3)
 
         docs = one_matrix([
             doc(2, 1), doc(3), doc(1), doc(3, 2, 1), doc(2, 3),
-            doc(1, pad=False), doc(2, 2, pad=False), doc(1, 3, pad=False),
-            doc(1), doc(3, 1),
+            doc(1), doc(2, 2), doc(1, 3), doc(1), doc(3, 1),
         ])
         batch = [
             EncodedPair(join_encoded(docs[0:2]), docs[2], 1),
             EncodedPair(docs[3], docs[4], 0),
-            EncodedPair(join_encoded(docs[5:7], 3), docs[7], 1),
+            EncodedPair(join_encoded(docs[5:7]), docs[7], 1),
             EncodedPair(docs[8], docs[9], 0),
         ]
         # every pair and cross pair active in both terms
@@ -602,13 +603,11 @@ class TestAugmentEpoch:
             knowns = {
                 encode_instance(
                     VerificationInstance(list(docs), inst.unknown_doc, inst.label),
-                    table, config, pad=False,
+                    table, config,
                 ).known.words.tobytes()
                 for docs in itertools.permutations(inst.known_docs)
             }
-            unknown = encode_instance(
-                inst, table, config, pad=False
-            ).unknown.words.tobytes()
+            unknown = encode_instance(inst, table, config).unknown.words.tobytes()
             expected.append((unknown, inst.label, knowns))
         batches = []
         step = authverify.train.train_step
@@ -662,8 +661,12 @@ class TestMakeCvSplits:
         assert a == b
 
     def test_too_small_corpus_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SplitError, match="smaller than k"):
             make_cv_splits(5, k=10, rng=make_rng(0))
+        # fold 0 holds 2 of 3 instances: the one left goes to dev
+        with pytest.raises(SplitError, match="empty train set"):
+            make_cv_splits(3, k=2, rng=make_rng(0))
+        assert all(s.train_ids for s in make_cv_splits(4, k=2, rng=make_rng(0)))
 
 
 class TestFit:
@@ -721,32 +724,21 @@ class TestFit:
         texts = [t for x in train + dev for t in x.known_docs + [x.unknown_doc]]
         assert sorted(calls) == sorted(texts)
 
-    def test_encodings_are_unpadded(self, monkeypatch):
-        # no text, joined known side or dev pair keeps padded sentence rows
+    def test_no_path_builds_the_padded_tensor(self, monkeypatch):
+        # a padded (max_sentences, max_words, d_w) tensor at the default
+        # caps is 9.7 MB a document: training, cross-validation and
+        # verification must run without ever asking for one
+        def refuse(doc):
+            raise AssertionError("EncodedDocument.words was built")
+
+        monkeypatch.setattr(EncodedDocument, "words", property(refuse))
         train, dev = self.make_data()
-        texts, pairs = [], []
-        step, distances = authverify.train.train_step, authverify.train.pair_distances
-
-        def encoding(*args, **kwargs):
-            texts.append(encode_text(*args, **kwargs))
-            return texts[-1]
-
-        def recording(params, opt_state, batch, *args):
-            pairs.extend(batch)
-            return step(params, opt_state, batch, *args)
-
-        def measuring(params, dev_pairs):
-            pairs.extend(dev_pairs)
-            return distances(params, dev_pairs)
-
-        monkeypatch.setattr(authverify.train, "encode_document", encoding)
-        monkeypatch.setattr(authverify.train, "train_step", recording)
-        monkeypatch.setattr(authverify.train, "pair_distances", measuring)
-        fit(train, dev, word_table(), tiny_config())
-        docs = texts + [d for p in pairs for d in (p.known, p.unknown)]
-        assert len(pairs) == len(train + dev) * 2  # two epochs
-        assert any(d.num_sentences < tiny_config().max_sentences for d in docs)
-        assert all(d.words.shape[0] == d.num_sentences for d in docs)
+        table, config = word_table(), tiny_config()
+        assert len(fit(train, dev, table, config).log) == 2
+        report = cross_validate(train + dev, table, config, k=3, threads=1)
+        assert len(report.folds) == 3
+        model = Model(init_encoder_params(3, 2, 2, rng=make_rng(5)), config, table)
+        verify_pair(model, train[0].unknown_doc, dev[0].unknown_doc)
 
     def test_dev_distances_are_those_of_the_best_params(self):
         train, dev = self.make_data()

@@ -34,11 +34,10 @@ Prints one JSON line of sha256 digests:
 - `pipeline`: the text pipeline alone, on criterion 9's
   `fuzz_documents(1000)` and every text of criterion 6's corpus: each
   text's normalized form, sentences and tokens, and its
-  `encode_document` ids, sentence lengths, OOV counts and row counts
-  at the bench caps (12 words x 15 sentences) and the paper caps
-  (33 x 123), resolved against criterion 6's embedding table.  A
-  change to the pipeline that keeps its output byte for byte keeps
-  this digest.
+  `encode_document` ids, sentence lengths, OOV counts and caps at the
+  bench caps (12 words x 15 sentences) and the paper caps (33 x 123),
+  resolved against criterion 6's embedding table.  A change to the
+  pipeline that keeps its output byte for byte keeps this digest.
 
 A fit digest covers the parameter bytes, the training log without its
 `seconds` timings, `best_epoch`, `best_dev_accuracy` and `dev_distances`.
@@ -142,7 +141,7 @@ def fit_digests(instances, table, config) -> tuple[str, str]:
 
 def check_per_document(instances, table) -> None:
     config = av.TrainConfig(init_lo=-0.2, init_hi=0.2)
-    pairs = [av.encode_instance(x, table, config, pad=False) for x in instances[:8]]
+    pairs = [av.encode_instance(x, table, config) for x in instances[:8]]
     params = av.init_encoder_params(
         config.d_w, config.d_s, config.d_d, config.init_lo, config.init_hi,
         rng=av.make_rng(0),
@@ -168,17 +167,14 @@ def pipeline_digest(instances, table) -> str:
             [normalized, sentences, [av.tokenize(s) for s in sentences]]
         ).encode())
         for max_words, max_sentences in ((12, 15), (33, 123)):
-            for pad in (True, False):
-                try:
-                    doc = av.encode_document(
-                        text, table, max_words, max_sentences, pad=pad
-                    )
-                except av.EmptyDocumentError:
-                    h.update(b"empty")
-                    continue
-                for a in (doc.ids, doc.sent_lengths, doc.sent_oov):
-                    h.update(a.tobytes())
-                h.update(json.dumps([doc.max_words, doc.max_sentences]).encode())
+            try:
+                doc = av.encode_document(text, table, max_words, max_sentences)
+            except av.EmptyDocumentError:
+                h.update(b"empty")
+                continue
+            for a in (doc.ids, doc.sent_lengths, doc.sent_oov):
+                h.update(a.tobytes())
+            h.update(json.dumps([doc.max_words, doc.max_sentences]).encode())
     return h.hexdigest()
 
 
