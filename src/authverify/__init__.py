@@ -12,8 +12,6 @@ from .encoder import (
     DropoutMasks,
     EncoderParams,
     embed_documents,
-    encode_document_training,
-    encoder_backward,
     init_encoder_params,
     sample_dropout_masks,
 )

@@ -8,7 +8,9 @@ files under a checkpoint; `--explain` adds what the encoder read of each),
 All randomness flows from `--seed`; `train` draws its split and its fit
 from two independent `SeedSequence` children of it.  Report output
 carries no timestamps, so two runs with the same seed write identical
-bytes.
+bytes.  An input the program rejects where it reads it (a config, an
+embedding file, a corpus, a text with no sentence) or a corpus too small
+for its split is a usage error of the subcommand: exit status 2.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .embeddings import load_embeddings
+from .embeddings import EmbeddingFormatError, load_embeddings
 from .evaluate import (
     Model,
     cross_validate,
@@ -30,6 +32,8 @@ from .evaluate import (
 from .gradcheck import run_suite
 from .numeric import make_rng
 from .preprocess import (
+    CorpusFormatError,
+    EmptyDocumentError,
     encode_document,
     load_corpus,
     normalize_text,
@@ -45,12 +49,29 @@ __all__ = ["main", "build_parser"]
 def _load_config(args) -> TrainConfig:
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            config = TrainConfig.from_dict(json.load(fh))
+            try:
+                config = TrainConfig.from_dict(json.load(fh))
+            except ValueError as exc:  # not JSON, unknown keys, a value out of range
+                args.usage_error(f"{args.config}: {exc}")
     else:
         config = TrainConfig()
     if args.seed is not None:
         config = config.updated(seed=args.seed)
     return config
+
+
+def _load_embeddings(args, config: TrainConfig):
+    try:
+        return load_embeddings(args.embeddings, config.d_w)
+    except EmbeddingFormatError as exc:
+        args.usage_error(f"{args.embeddings}: {exc}; the config's d_w is {config.d_w}")
+
+
+def _load_corpus(args):
+    try:
+        return load_corpus(args.corpus)
+    except CorpusFormatError as exc:
+        args.usage_error(f"{args.corpus}: {exc}")
 
 
 def _write_or_print(text: str, out_path: str | None) -> None:
@@ -80,8 +101,8 @@ def _cmd_synthetic(args) -> int:
 
 def _cmd_train(args) -> int:
     config = _load_config(args)
-    table = load_embeddings(args.embeddings, config.d_w)
-    instances = load_corpus(args.corpus)
+    table = _load_embeddings(args, config)
+    instances = _load_corpus(args)
     split_seed, fit_seed = np.random.SeedSequence(config.seed).spawn(2)
     split = make_cv_splits(len(instances), k=10, rng=make_rng(split_seed))[0]
     result = fit(
@@ -121,13 +142,16 @@ def _explain(text: str, model: Model) -> dict[str, int]:
 
 def _cmd_verify(args) -> int:
     params, config = load_checkpoint(args.checkpoint)
-    table = load_embeddings(args.embeddings, config.d_w)
+    table = _load_embeddings(args, config)
     with open(args.doc_a, encoding="utf-8") as fh:
         doc_a = fh.read()
     with open(args.doc_b, encoding="utf-8") as fh:
         doc_b = fh.read()
     model = Model(params, config, table)
-    payload = verify_pair(model, doc_a, doc_b).to_json_dict()
+    try:
+        payload = verify_pair(model, doc_a, doc_b).to_json_dict()
+    except EmptyDocumentError as exc:  # a text with no sentence to encode
+        args.usage_error(f"{args.doc_a} or {args.doc_b}: {exc}")
     payload["tau"] = config.thresholds.midpoint
     if args.explain:
         payload["explain"] = {
@@ -140,8 +164,8 @@ def _cmd_verify(args) -> int:
 def _cmd_cross_validate(args) -> int:
     config = _load_config(args)
     threads = 1 if args.deterministic else args.threads
-    table = load_embeddings(args.embeddings, config.d_w)
-    instances = load_corpus(args.corpus)
+    table = _load_embeddings(args, config)
+    instances = _load_corpus(args)
     report = cross_validate(instances, table, config, k=args.folds, threads=threads)
     _write_or_print(report.to_json(), args.out)
     return 0
@@ -185,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, config=True):
-        p.set_defaults(usage_error=p.error)
         if config:
             p.add_argument("--config", help="JSON file of TrainConfig overrides")
         p.add_argument("--seed", type=int, default=None, help="master random seed")
@@ -249,6 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, config=False)
     p.set_defaults(func=_cmd_gradcheck)
 
+    for p in sub.choices.values():
+        p.set_defaults(usage_error=p.error)
     return parser
 
 

@@ -13,13 +13,13 @@ gathered once under its document's input mask, so its U x is computed
 once however often the word occurs.  Training encodes a batch with
 tapes, whose gemvs give every document the bits it would get encoded
 alone, and `document_gradients` walks each level back once for all of
-it; `encode_document_training` and `encoder_backward` are the
-one-document case.  Embeddings that need no gradient go through
-`embed_documents`, whose GEMMs can move a document's last bits with the
-other documents of the call.
+it; one document is a batch of one.  Embeddings that need no gradient go
+through `embed_documents`, whose GEMMs can move a document's last bits
+with the other documents of the call.
 Variational dropout masks, when given, multiply the input and recurrent
-activations at every step of a sequence; one level-1 mask pair is
-shared by all sentences of a document.
+activations at every step of a sequence, a row per document: the encoder
+masks each level's input rows, `lstm_run` the recurrent state.  One
+level-1 mask pair is shared by all sentences of a document.
 """
 
 from __future__ import annotations
@@ -49,8 +49,6 @@ __all__ = [
     "encode_documents",
     "embed_documents",
     "encode_document",
-    "encode_document_training",
-    "encoder_backward",
     "document_gradients",
 ]
 
@@ -168,10 +166,12 @@ def sample_dropout_masks(
 
 @dataclass
 class DocumentTape:
-    """Forward caches of an encoding of documents, for document_gradients."""
+    """Forward caches of an encoding of documents, for document_gradients:
+    both runs' tapes and level 2's input mask, a row per document."""
 
     level1_tape: LstmTape = field(repr=False)  # one row per sentence
     level2_tape: LstmTape = field(repr=False)  # one row per document
+    input2: np.ndarray | None = field(repr=False)  # (n, d_s), or None
 
 
 def encode_documents(
@@ -186,8 +186,9 @@ def encode_documents(
     Level 1's input rows are the word vectors of each document's distinct
     token ids, from its own matrix and under its own input mask, keyed by
     (document, id) because documents differ in both; every token reads
-    its key's row.  `masks`, row j for document j, become per-row masks
-    of both runs.
+    its key's row; level 2's are the sentence embeddings, each under its
+    document's input mask.  The recurrent masks of `masks`, row j for
+    document j, become per-row masks of both runs.
     """
     counts = np.array([doc.num_sentences for doc in docs])
     lengths = np.concatenate([doc.sent_lengths for doc in docs])
@@ -200,31 +201,24 @@ def encode_documents(
     ids = np.split(keys % span, np.cumsum(distinct)[:-1])
     words = np.concatenate([doc.matrix[doc_ids] for doc, doc_ids in zip(docs, ids)])
     if masks is None:
-        recurrent1, level2_masks = None, (None, None)
+        recurrent1 = input2 = recurrent2 = None
     else:
         words *= np.repeat(masks.input1, distinct, axis=0)
         recurrent1 = np.repeat(masks.recurrent1, counts, axis=0)
-        level2_masks = (masks.input2, masks.recurrent2)
-    # the sentence embeddings, document after document, are level 2's steps
+        input2, recurrent2 = masks.input2, masks.recurrent2
     sentences, level1_tape = lstm_run(
-        params.level1, words, lengths, None, None, recurrent1,
-        record=record, x_index=x_index,
+        params.level1, words, lengths, rec_mask=recurrent1, record=record,
+        x_index=x_index,
     )
+    # the sentence embeddings, document after document, are level 2's steps
+    steps = sentences.h
+    if input2 is not None:
+        steps = steps * np.repeat(input2, counts, axis=0)
     final, level2_tape = lstm_run(
-        params.level2, sentences.h, counts, None, *level2_masks, record=record
+        params.level2, steps, counts, rec_mask=recurrent2, record=record
     )
-    return final.h, DocumentTape(level1_tape, level2_tape) if record else None
-
-
-def encode_document_training(
-    params: EncoderParams,
-    doc: EncodedDocument,
-    masks: DropoutMasks | None = None,
-) -> tuple[np.ndarray, DocumentTape]:
-    """Document embedding plus the tape bundle needed for the backward
-    pass; `masks` holds one row."""
-    x, tape = encode_documents(params, [doc], masks, record=True)
-    return x[0], tape
+    tape = DocumentTape(level1_tape, level2_tape, input2) if record else None
+    return final.h, tape
 
 
 def embed_documents(
@@ -233,9 +227,9 @@ def embed_documents(
     masks: DropoutMasks | None = None,
 ) -> np.ndarray:
     """Embeddings (len(docs), d_d) of documents, in order and without a
-    tape; row j equals `encode_document_training(params, docs[j], m)[0]`,
-    m holding row j of each of `masks`, up to rounding that depends on
-    the other documents."""
+    tape; row j equals the embedding of docs[j] alone by a taped
+    `encode_documents` under row j of each of `masks`, up to rounding
+    that depends on the other documents."""
     if not docs:
         return np.empty((0, params.d_d))
     return encode_documents(params, docs, masks)[0]
@@ -251,16 +245,6 @@ def encode_document(
     return embed_documents(params, [doc], masks)[0]
 
 
-def encoder_backward(
-    params: EncoderParams,
-    tape: DocumentTape,
-    d_xd: np.ndarray,
-) -> EncoderParams:
-    """Exact parameter gradients of a scalar loss given dL/d(document
-    embedding), from the tape of one document (`document_gradients`)."""
-    return next(document_gradients(params, tape, d_xd[None]))
-
-
 def document_gradients(
     params: EncoderParams, tape: DocumentTape, d_x: np.ndarray
 ) -> Iterator[EncoderParams]:
@@ -269,10 +253,11 @@ def document_gradients(
     in order, each formed only when asked for.
 
     Each level is walked back once for all documents, spending the tapes;
-    level 2's input gradients are the upstream hidden-state gradients of
-    level 1's sentence rows (word vectors are pretrained, so get none).  A
-    document's gradients come from its own rows, with the bits of it
-    encoded and walked back alone.  Other dimensions raise ShapeError.
+    level 2's input gradients, times its input mask, are the upstream
+    hidden-state gradients of level 1's sentence rows (word vectors are
+    pretrained, so get none).  A document's gradients come from its own
+    rows, with the bits of it encoded and walked back alone.  Other
+    dimensions raise ShapeError.
     """
     level1, level2 = tape.level1_tape, tape.level2_tape
     # where each document's steps start and end: at level 2 its sentences,
@@ -282,6 +267,8 @@ def document_gradients(
     sentences = sentences.tolist()
     lstm_backward_dz(params.level2, level2, d_x, np.zeros_like(d_x))
     d_sent = input_gradients(params.level2, level2, sentences)
+    if tape.input2 is not None:
+        d_sent *= np.repeat(tape.input2, level2.lengths, axis=0)
     lstm_backward_dz(params.level1, level1, d_sent, np.zeros_like(d_sent))
     for j in range(len(sentences) - 1):
         yield EncoderParams(

@@ -215,19 +215,16 @@ class FoldResult:
 
 @dataclass
 class CvReport:
-    """Per-fold results plus mean and sample standard deviation."""
+    """Per-fold results plus mean and sample standard deviation, the
+    `aggregate` always computed from the folds."""
 
     folds: list[FoldResult]
     seed: int
     config: TrainConfig
-    aggregate: dict = field(default_factory=dict)
+    aggregate: dict = field(init=False)
 
     def __post_init__(self) -> None:
-        if not self.aggregate:
-            self.aggregate = self._aggregate()
-
-    def _aggregate(self) -> dict:
-        out: dict = {}
+        self.aggregate = out = {}
         for name in METRIC_NAMES:
             values = [getattr(f.metrics, name) for f in self.folds]
             mean = float(np.mean(values))
@@ -242,7 +239,6 @@ class CvReport:
                 "mean": float(np.mean(values)),
                 "std": float(np.std(values, ddof=1)) if len(values) > 1 else 0.0,
             }
-        return out
 
     def to_json_dict(self) -> dict:
         return {

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import EncoderParams, encode_document_training, encoder_backward
+from .encoder import EncoderParams, document_gradients, encode_documents
 from .lstm import LstmParams, LstmState, lstm_run, lstm_run_backward
 from .numeric import make_rng
 from .preprocess import EncodedDocument
@@ -179,33 +179,31 @@ def check_pipeline_config(
 ) -> GradCheckReport:
     """Encoder plus contrastive loss on one document pair, dropout off.
 
-    Thresholds are set from the pair's actual embedding distance
-    (tau1 = d/2, tau2 = 2d) so both labels land deep in the curved
-    region of the loss, far from the kinks finite differences must
-    avoid.
+    The pair takes training's path: one taped `encode_documents` call and
+    one `document_gradients` walk.  Thresholds are set from the pair's
+    actual embedding distance (tau1 = d/2, tau2 = 2d) so both labels land
+    deep in the curved region of the loss, far from the kinks finite
+    differences must avoid.
     """
     rng = make_rng(seed)
     params = EncoderParams(
         level1=LstmParams.init_uniform(d_w, d_s, -0.5, 0.5, rng),
         level2=LstmParams.init_uniform(d_s, d_d, -0.5, 0.5, rng),
     )
-    doc1 = _random_document(rng, d_w, 2, 2, max_words=2, max_sentences=2)
-    doc2 = _random_document(rng, d_w, 2, 2, max_words=2, max_sentences=2)
+    docs = [_random_document(rng, d_w, 2, 2, 2, 2) for _ in range(2)]
 
-    x1, tape1 = encode_document_training(params, doc1)
-    x2, tape2 = encode_document_training(params, doc2)
+    (x1, x2), tape = encode_documents(params, docs, record=True)
     d = distance(x1, x2)
     assert d > 1e-8, "degenerate fixture: identical embeddings"
     thresholds = Thresholds(0.5 * d, 2.0 * d)
 
     def loss() -> float:
-        a = encode_document_training(params, doc1)[0]
-        b = encode_document_training(params, doc2)[0]
+        a, b = encode_documents(params, docs, record=True)[0]
         return contrastive_loss(a, b, label_value, thresholds)
 
-    g1, g2 = contrastive_loss_grad(x1, x2, label_value, thresholds)
-    grads = encoder_backward(params, tape1, g1)
-    grads.add_(encoder_backward(params, tape2, g2))
+    upstream = np.stack(contrastive_loss_grad(x1, x2, label_value, thresholds))
+    grads, unknown = document_gradients(params, tape, upstream)
+    grads.add_(unknown)
 
     failures: list[GradCheckFailure] = []
     checked = 0

@@ -15,11 +15,12 @@ Rows run together
 There is one forward run, `lstm_run`.  It steps R sequences (rows) of
 different lengths together; one sequence is a run of one row.  Its input
 holds only the real steps, packed row after row, so padding never
-reaches the cell, or distinct input vectors that the steps index.  It
-keeps a tape only when asked: training asks, for every document of a
-batch at once; embeddings that need no gradient do not.  U x is taken
-once for every input vector before the first step, W h for the running
-rows at each step.  A taped run makes each product its own gemv call,
+reaches the cell, or distinct input vectors that the steps index; an
+input dropout mask is the caller's product, and a run takes only the
+recurrent mask, a row per sequence.  It keeps a tape only when asked:
+training asks, for every document of a batch at once; embeddings that
+need no gradient do not.  U x is taken once for every input vector
+before the first step, W h for the running rows at each step.  A taped run makes each product its own gemv call,
 by one stacked matmul (`_gemv`), so a row gets the bits it would get
 alone and the trained weights do not depend on batching.  A run without
 a tape feeds no gradient and takes GEMMs (`_gemm`): deterministic, but a
@@ -181,7 +182,7 @@ class LstmTape:
     (`order`), so a step's block is one contiguous slice and the arrays
     have one entry per real step.  `index` gives, for every real step in
     the input's row-after-row order, its place in the packed arrays, and
-    `x_index` the row of `x_in`, the masked input rows, that it read.
+    `x_index` the row of `x_in`, the input rows, that it read.
     tanh of the memory state is recomputed in the backward pass, so a
     step stores 6 * d_out floats per row.
     """
@@ -190,14 +191,13 @@ class LstmTape:
     order: np.ndarray  # (R,) the rows in stepping order
     live: np.ndarray  # (T,) rows still running at each step
     index: np.ndarray = field(repr=False)  # (tokens,) packed place of each input step
-    x_in: np.ndarray = field(repr=False)  # (n, d_in): the rows of xs, masked
+    x_in: np.ndarray = field(repr=False)  # (n, d_in): the rows of xs
     x_index: np.ndarray = field(repr=False)  # (tokens,) x_in row of each input step
     h_in: np.ndarray = field(repr=False)  # (tokens, d_out), masked, packed
     gates: np.ndarray = field(repr=False)  # (tokens, 4*d_out): f, i, o, c~, packed
     c: np.ndarray = field(repr=False)  # (tokens, d_out): c after each step, packed
     c0: np.ndarray = field(repr=False)  # (R, d_out): the initial c, stepping order
-    in_mask: np.ndarray | None = None  # (d_in,) or (R, d_in)
-    rec_mask: np.ndarray | None = None  # (d_out,) or (R, d_out)
+    rec_mask: np.ndarray | None = None  # (R, d_out), stepping order
     spent: bool = False  # walked back: `gates` holds dz
 
 
@@ -222,66 +222,53 @@ def _gemm(a: np.ndarray, rows: np.ndarray, out: np.ndarray | None = None):
     return np.matmul(rows, a.T, out=out)
 
 
-def _in_order(mask: np.ndarray | None, order: np.ndarray) -> np.ndarray | None:
-    """A mask as (1, d) or as its (R, d) rows in stepping order, so that
-    `[:k]` selects the masks of the first k rows stepped."""
-    if mask is None:
-        return None
-    return mask[None] if mask.ndim == 1 else mask[order]
-
-
 def lstm_run(
     params: LstmParams,
     xs: np.ndarray,
     lengths: np.ndarray | list[int],
     init: LstmState | None = None,
-    in_mask: np.ndarray | None = None,
     rec_mask: np.ndarray | None = None,
     record: bool = False,
     x_index: np.ndarray | None = None,
 ) -> tuple[LstmState, LstmTape | None]:
     """Apply the cell to R sequences at once, row r for lengths[r] steps.
 
-    Each step computes, from the masked input x and the masked previous
-    hidden state h,
+    Each step computes, from the input x and the masked previous hidden
+    state h,
     f = sigmoid(W_f h + U_f x + b_f), i and o analogous,
     c~ = tanh(W_c h + U_c x + b_c), c' = f*c + i*c~, h' = o*tanh(c').
-    Optional masks, (d,) shared by every row or (R, d) one per row,
-    multiply the input and the recurrent hidden state entering the gate
-    preactivations (variational dropout).
+    `rec_mask`, (R, d_out) with one row per sequence, multiplies the
+    recurrent hidden state entering the gate preactivations (variational
+    dropout); an input mask is the caller's product, taken before the run.
 
     `xs` holds only the real steps, row after row: (sum(lengths), d_in).
     Given `x_index`, (sum(lengths),), real step j reads row x_index[j] of
-    `xs` (n, d_in) instead, taken as already masked: `in_mask` must be
-    None.  The rows start from `init` (zero states if None) and are
-    stepped in order of non-increasing length, step t computing only the
-    rows still running (see the module docstring).  Returns the state
-    after each row's last step, each (R, d_out) in the caller's row
-    order, and the tape if `record`, else None.  Each step adds W h, U x
-    (taken once per row of `xs`) and b in that order; with a tape every
-    product is its own gemv (`_gemv`), without one a GEMM (`_gemm`, see
-    the module docstring).
+    `xs` (n, d_in) instead.  The rows start from `init` (zero states if
+    None) and are stepped in order of non-increasing length, step t
+    computing only the rows still running (see the module docstring).
+    Returns the state after each row's last step, each (R, d_out) in the
+    caller's row order, and the tape if `record`, else None.  Each step
+    adds W h, U x (taken once per row of `xs`) and b in that order; with
+    a tape every product is its own gemv (`_gemv`), without one a GEMM
+    (`_gemm`, see the module docstring).
     """
     lengths = np.asarray(lengths)
     if lengths.ndim != 1 or len(lengths) == 0 or lengths.min() < 1:
         raise ValueError("a run requires at least one row, each of length >= 1")
     rows = len(lengths)
-    for name, mask, dim in (
-        ("in_mask", in_mask, params.d_in), ("rec_mask", rec_mask, params.d_out)
-    ):
-        if mask is not None and mask.shape not in ((dim,), (rows, dim)):
-            raise ShapeError(
-                f"{name} shape {mask.shape} must be ({dim},) or ({rows}, {dim})"
-            )
+    if rec_mask is not None and rec_mask.shape != (rows, params.d_out):
+        raise ShapeError(
+            f"rec_mask shape {rec_mask.shape} must be ({rows}, {params.d_out})"
+        )
     xs = np.asarray(xs)
     tokens = int(lengths.sum())
     indexed = x_index is not None
-    if xs.shape != (len(xs) if indexed else tokens, params.d_in) or indexed and (
-        x_index.shape != (tokens,) or in_mask is not None
+    if xs.shape != (len(xs) if indexed else tokens, params.d_in) or (
+        indexed and x_index.shape != (tokens,)
     ):
         raise ShapeError(
             f"xs shape {xs.shape} must be (sum of lengths, d_in) = ({tokens}, "
-            f"{params.d_in}), or (n, d_in) with a ({tokens},) x_index and no in_mask"
+            f"{params.d_in}), or (n, d_in) with a ({tokens},) x_index"
         )
     d = params.d_out
     dtype = params.w.dtype
@@ -302,11 +289,9 @@ def lstm_run(
         h, c = np.zeros((rows, d), dtype=dtype), np.zeros((rows, d), dtype=dtype)
     else:
         h, c = init.h[order], init.c[order]
-    rec_m = _in_order(rec_mask, order)
+    rec_m = None if rec_mask is None else rec_mask[order]
     if not indexed:
         x_index = np.arange(tokens)
-        if in_mask is not None:
-            xs = xs * (in_mask if in_mask.ndim == 1 else np.repeat(in_mask, lengths, 0))
     product = _gemv if record else _gemm  # a taped run's bits reach the weights
     ux = product(params.u, xs)  # U x of every row of xs, before the first step
     x_rows = x_index[source]  # the row of xs that every packed step reads
@@ -318,7 +303,7 @@ def lstm_run(
     gates = np.empty((kept, 4 * d), dtype=dtype)
     cs = np.empty((kept, d), dtype=dtype)
     tape = LstmTape(
-        lengths, order, live, index, xs, x_index, h_in, gates, cs, c, in_mask, rec_mask
+        lengths, order, live, index, xs, x_index, h_in, gates, cs, c, rec_m
     ) if record else None
     for k, at_t, first_t in zip(live.tolist(), at.tolist(), first.tolist()):
         block = slice(at_t, at_t + k)
@@ -389,15 +374,12 @@ def input_gradients(
     """Input gradients of every step of a walked run, row after row.  The
     steps between each two consecutive `bounds` (0 first, the run's steps
     last, whole rows between) take one product over their own steps
-    alone, so they get the bits of their rows walked back alone; the
-    input mask then multiplies all steps at once."""
+    alone, so they get the bits of their rows walked back alone.  An input
+    mask the caller took is the caller's to take of them too."""
     gates = _walked(tape).gates
     d_x = np.empty((bounds[-1], params.d_in), dtype=params.u.dtype)
     for lo, hi in zip(bounds, bounds[1:]):
         np.matmul(gates[tape.index[lo:hi]], params.u, out=d_x[lo:hi])
-    mask = tape.in_mask
-    if mask is not None:
-        d_x *= mask if mask.ndim == 1 else np.repeat(mask, tape.lengths, axis=0)
     return d_x
 
 
@@ -434,7 +416,7 @@ def lstm_backward_dz(
     ends = np.cumsum(live).tolist()
     dh = np.asarray(d_h_final, dtype=params.w.dtype)[order]
     dc = np.asarray(d_c_final, dtype=params.w.dtype)[order]
-    rec_m = _in_order(tape.rec_mask, order)
+    rec_m = tape.rec_mask
     w_t = params.w.T
 
     for t in range(len(live) - 1, -1, -1):

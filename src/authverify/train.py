@@ -116,6 +116,12 @@ class TrainConfig:
             raise ValueError("clip_norm must be positive")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0, 1)")
+        if not self.adadelta_lr > 0.0:
+            raise ValueError("adadelta_lr must be positive")
+        if not 0.0 <= self.adadelta_rho < 1.0:
+            raise ValueError("adadelta_rho must be in [0, 1)")
+        if not self.adadelta_eps > 0.0:
+            raise ValueError("adadelta_eps must be positive")
         if not 0.0 <= self.tau1 < self.tau2:
             raise ValueError("0 <= tau1 < tau2 required")
         if not self.init_lo < self.init_hi:

@@ -300,6 +300,65 @@ class TestCorpusTooSmallForItsSplit:
         assert not out.exists()
 
 
+class TestRejectedInputs:
+    """An input file the program rejects as it reads it is a usage error of
+    the subcommand, its message kept, and nothing is written."""
+
+    def run(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"usage: authverify {argv[0]}" in err
+        return err
+
+    def test_embeddings_narrower_than_the_config(self, workspace, tmp_path, capsys):
+        # no --config: TrainConfig()'s 300-d words against the 20-d file
+        _, corpus, emb = workspace
+        checkpoint = tmp_path / "model.npz"
+        err = self.run(["train", "--corpus", str(corpus), "--embeddings", str(emb),
+                        "--checkpoint", str(checkpoint)], capsys)
+        assert "expected 300 values, got 20 at line 1" in err
+        assert "d_w is 300" in err
+        assert not checkpoint.exists()
+
+    def test_corpus_label_outside_zero_one(self, workspace, tmp_path, capsys):
+        root, _, emb = workspace
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(json.dumps({"known": ["A b."], "unknown": "C d.", "label": 2}))
+        checkpoint = tmp_path / "model.npz"
+        err = self.run(["train", "--corpus", str(corpus), "--embeddings", str(emb),
+                        "--config", str(fast_config(root)),
+                        "--checkpoint", str(checkpoint)], capsys)
+        assert "`label` must be the integer 0 or 1, got 2" in err
+        assert not checkpoint.exists()
+
+    def test_config_with_an_unknown_key(self, workspace, tmp_path, capsys):
+        _, corpus, emb = workspace
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"d_w": 20, "not_a_field": 1}))
+        out = tmp_path / "report.json"
+        err = self.run(["cross-validate", "--corpus", str(corpus), "--embeddings",
+                        str(emb), "--config", str(config), "--out", str(out)], capsys)
+        assert "unknown config keys: ['not_a_field']" in err
+        assert not out.exists()
+
+    def test_verify_text_without_a_sentence(self, workspace, tmp_path, capsys):
+        _, _, emb = workspace
+        checkpoint = tmp_path / "model.npz"
+        config = TrainConfig(d_w=20, d_s=4, d_d=3, max_words=12, max_sentences=15)
+        save_checkpoint(str(checkpoint), init_encoder_params(20, 4, 3, rng=make_rng(0)),
+                        config)
+        text, blank = tmp_path / "text.txt", tmp_path / "blank.txt"
+        text.write_text("w000 w001.")
+        blank.write_text("  \n")
+        out = tmp_path / "decision.json"
+        err = self.run(["verify", "--checkpoint", str(checkpoint), "--embeddings",
+                        str(emb), str(text), str(blank), "--out", str(out)], capsys)
+        assert "empty document" in err
+        assert not out.exists()
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(

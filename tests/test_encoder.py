@@ -9,9 +9,8 @@ from authverify.encoder import (
     EncoderParams,
     embed_documents,
     encode_document,
+    document_gradients,
     encode_documents,
-    encode_document_training,
-    encoder_backward,
     init_encoder_params,
     sample_dropout_masks,
 )
@@ -137,8 +136,8 @@ class TestEncodeDocument:
             LstmParams.init_uniform(3, 2, -0.5, 0.5, rng),
         )
         doc = random_doc(make_rng(4), 4, [2], 3, 3)
-        x_d, tape = encode_document_training(params, doc)
-        assert x_d.shape == (2,)
+        x_d, tape = encode_documents(params, [doc], record=True)
+        assert x_d.shape == (1, 2)
         assert tape.level2_tape.x_in.shape == (1, 3)  # the sentence embeddings
 
     def test_tape_holds_only_real_steps(self, rng):
@@ -147,7 +146,7 @@ class TestEncodeDocument:
             LstmParams.init_uniform(2, 2, -0.5, 0.5, rng),
         )
         doc = random_doc(make_rng(5), 3, [2, 4, 1], max_words=33, max_sentences=123)
-        _, tape = encode_document_training(params, doc)
+        _, tape = encode_documents(params, [doc], record=True)
         level1 = tape.level1_tape
         for a in (level1.gates, level1.h_in, level1.c):
             assert a.shape[0] == doc.token_count
@@ -182,8 +181,9 @@ class TestEmbedDocuments:
         # other documents of the call; the same call gives the same bytes
         assert embed_documents(params, docs, masks).tobytes() == x.tobytes()
         for j, doc in enumerate(docs):
-            ref, _ = encode_document_training(
-                params, doc, mask_row(masks, j) if with_masks else None
+            # the taped encoding of the document alone
+            (ref,), _ = encode_documents(
+                params, [doc], mask_row(masks, j) if with_masks else None, record=True
             )
             np.testing.assert_allclose(
                 x[j], ref, rtol=1e-12, atol=1e-15, err_msg=f"row {j}"
@@ -222,10 +222,10 @@ class TestEmbedDocuments:
                 np.testing.assert_allclose(row, taped, **close)
 
         for j, doc in enumerate(docs):
-            check(x[j], encode_document(params, doc, mask_row(masks, j)),
-                  encode_document_training(params, doc, mask_row(masks, j))[0], j)
-            check(plain[j], encode_document(params, doc),
-                  encode_document_training(params, doc)[0], j)
+            (alone,), _ = encode_documents(params, [doc], mask_row(masks, j), record=True)
+            check(x[j], encode_document(params, doc, mask_row(masks, j)), alone, j)
+            (alone,), _ = encode_documents(params, [doc], record=True)
+            check(plain[j], encode_document(params, doc), alone, j)
 
     @pytest.mark.parametrize("record", [False, True])
     def test_level1_projects_each_distinct_document_word_once(self, monkeypatch, record):
@@ -321,8 +321,8 @@ class TestEncoderBackward:
 
     def test_zero_upstream_zero_grads(self):
         params, doc = self.make_setup()
-        _, tape = encode_document_training(params, doc)
-        grads = encoder_backward(params, tape, np.zeros(2))
+        _, tape = encode_documents(params, [doc], record=True)
+        (grads,) = document_gradients(params, tape, np.zeros(2)[None])
         for a in grads.arrays().values():
             assert np.all(a == 0.0)
 
@@ -331,11 +331,11 @@ class TestEncoderBackward:
         d_xd = make_rng(4).normal(size=2)
 
         def loss():
-            x_d, _ = encode_document_training(params, doc)
+            (x_d,), _ = encode_documents(params, [doc], record=True)
             return float(np.dot(d_xd, x_d))
 
-        _, tape = encode_document_training(params, doc)
-        grads = encoder_backward(params, tape, d_xd)
+        _, tape = encode_documents(params, [doc], record=True)
+        (grads,) = document_gradients(params, tape, d_xd[None])
         analytic = grads.arrays()
         for name, target in params.arrays().items():
             numeric = numeric_gradient(loss, target)
@@ -357,12 +357,12 @@ class TestEncoderBackward:
         )
         d_xd = np.array([0.3, -0.7])
         for doc_a, doc_b in ((one, padded),):
-            _, tape_a = encode_document_training(params, doc_a)
-            _, tape_b = encode_document_training(params, doc_b)
-            ga = encoder_backward(params, tape_a, d_xd).arrays()
-            gb = encoder_backward(params, tape_b, d_xd).arrays()
-            for name in ga:
-                np.testing.assert_array_equal(ga[name], gb[name])
+            _, tape_a = encode_documents(params, [doc_a], record=True)
+            _, tape_b = encode_documents(params, [doc_b], record=True)
+            (ga,) = document_gradients(params, tape_a, d_xd[None])
+            (gb,) = document_gradients(params, tape_b, d_xd[None])
+            for name, a in ga.arrays().items():
+                np.testing.assert_array_equal(a, gb.arrays()[name])
 
     def test_masks_fixed_still_finite_difference_consistent(self):
         params, equal = self.make_setup(seed=9)
@@ -373,11 +373,11 @@ class TestEncoderBackward:
         for doc in (equal, unequal):
 
             def loss():
-                x_d, _ = encode_document_training(params, doc, masks)
+                (x_d,), _ = encode_documents(params, [doc], masks, record=True)
                 return float(np.dot(d_xd, x_d))
 
-            _, tape = encode_document_training(params, doc, masks)
-            grads = encoder_backward(params, tape, d_xd)
+            _, tape = encode_documents(params, [doc], masks, record=True)
+            (grads,) = document_gradients(params, tape, d_xd[None])
             analytic = grads.arrays()
             for name, target in params.arrays().items():
                 numeric = numeric_gradient(loss, target)
@@ -395,11 +395,12 @@ class TestEncoderBackward:
         d_xd = np.array([0.8, -0.6])
 
         def loss():
-            x_d, _ = encode_document_training(params, doc, masks)
+            (x_d,), _ = encode_documents(params, [doc], masks, record=True)
             return float(np.dot(d_xd, x_d))
 
-        _, tape = encode_document_training(params, doc, masks)
-        analytic = encoder_backward(params, tape, d_xd).arrays()
+        _, tape = encode_documents(params, [doc], masks, record=True)
+        (grads,) = document_gradients(params, tape, d_xd[None])
+        analytic = grads.arrays()
         for name, target in params.arrays().items():
             numeric = numeric_gradient(loss, target)
             failures = compare_grads(name, analytic[name], numeric)
@@ -416,18 +417,20 @@ class TestEncoderBackward:
         doc = random_doc(rng, 3, [3, 1, 4], max_words=5, max_sentences=4)
         masks = sample_dropout_masks((3, 4, 2), 0.3, make_rng(12))
         d_xd = np.array([0.4, -1.1])
-        _, tape = encode_document_training(params, doc, masks)
-        grads = encoder_backward(params, tape, d_xd)
+        _, tape = encode_documents(params, [doc], masks, record=True)
+        (grads,) = document_gradients(params, tape, d_xd[None])
 
-        _, ref_tape = encode_document_training(params, doc, masks)
+        _, ref_tape = encode_documents(params, [doc], masks, record=True)
         _, d_sent, _, _ = lstm_run_backward(
             params.level2, ref_tape.level2_tape, d_xd[None], np.zeros((1, 2))
         )
+        # the encoder masks level 2's input, so it masks that input's gradient
+        d_sent *= masks.input2
         ref = LstmParams.zeros(3, 4)
         for k, n in enumerate(doc.sent_lengths):
             _, sent_tape = lstm_run(
-                params.level1, doc.words[k, :n], [n],
-                in_mask=masks.input1, rec_mask=masks.recurrent1, record=True,
+                params.level1, doc.words[k, :n] * masks.input1, [n],
+                rec_mask=masks.recurrent1, record=True,
             )
             g, _, _, _ = lstm_run_backward(
                 params.level1, sent_tape, d_sent[k : k + 1], np.zeros((1, 4))

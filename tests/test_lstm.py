@@ -176,7 +176,8 @@ class TestLstmBackward:
         xs = rng.normal(size=(7, 4))
         in_mask, rec_mask = rng.uniform(0.5, 1.5, size=4), rng.uniform(0.5, 1.5, size=3)
         dh_final, dc_final = rng.normal(size=3), rng.normal(size=3)
-        _, tape = lstm_run(p, xs[:5], [5], in_mask=in_mask, rec_mask=rec_mask,
+        # the caller masks the input rows; the run takes the recurrent mask
+        _, tape = lstm_run(p, xs[:5] * in_mask, [5], rec_mask=rec_mask[None],
                            record=True)
 
         ref = LstmParams.zeros(4, 3)
@@ -206,7 +207,10 @@ class TestLstmBackward:
         )
         for name, a in grads.arrays().items():
             np.testing.assert_allclose(a, ref.arrays()[name], rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(input_grads, ref_inputs, rtol=1e-12, atol=1e-15)
+        # the input mask's product, where the caller applied the mask
+        np.testing.assert_allclose(
+            input_grads * in_mask, ref_inputs, rtol=1e-12, atol=1e-15
+        )
         np.testing.assert_allclose(dh0[0], dh, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(dc0[0], dc, rtol=1e-12, atol=1e-15)
 
@@ -265,26 +269,28 @@ class TestStackedGemv:
 class TestBatchedRun:
     LENGTHS = [4, 1, 7, 3, 7]
 
-    def make_case(self, rng, per_row_masks):
+    def make_case(self, rng, with_masks):
+        """Parameters, the real steps of each row, initial states, and the
+        rows' (R, d_in) input masks and (R, d_out) recurrent masks; without
+        masks, input masks of ones and no recurrent mask."""
         p = LstmParams.init_uniform(3, 4, -0.5, 0.5, rng)
         rows = len(self.LENGTHS)
         xs = rng.normal(size=(rows, 9, 3))
         xs = xs[np.arange(9) < np.array(self.LENGTHS)[:, None]]  # the real steps
         init = LstmState(rng.normal(size=(rows, 4)), rng.normal(size=(rows, 4)))
-        shape = (rows,) if per_row_masks else ()
-        masks = (rng.uniform(0.5, 1.5, size=shape + (3,)),
-                 rng.uniform(0.5, 1.5, size=shape + (4,)))
+        masks = (rng.uniform(0.5, 1.5, size=(rows, 3)),
+                 rng.uniform(0.5, 1.5, size=(rows, 4)))
+        if not with_masks:
+            masks = (np.ones((rows, 3)), None)
         return p, xs, init, masks
 
-    @staticmethod
-    def one_row(a, r):
-        return a[r : r + 1] if a.ndim == 2 else a
-
-    @pytest.mark.parametrize("per_row_masks", [False, True])
-    def test_rows_match_one_row_runs(self, rng, per_row_masks):
-        p, xs, init, (in_mask, rec_mask) = self.make_case(rng, per_row_masks)
-        final, tape = lstm_run(p, xs, self.LENGTHS, init=init,
-                               in_mask=in_mask, rec_mask=rec_mask, record=True)
+    @pytest.mark.parametrize("with_masks", [False, True])
+    def test_rows_match_one_row_runs(self, rng, with_masks):
+        p, xs, init, (in_mask, rec_mask) = self.make_case(rng, with_masks)
+        # the caller masks each row's steps, as the encoder does
+        step_masks = np.repeat(in_mask, self.LENGTHS, axis=0)
+        final, tape = lstm_run(p, xs * step_masks, self.LENGTHS, init=init,
+                               rec_mask=rec_mask, record=True)
         dh, dc = rng.normal(size=(2, len(self.LENGTHS), 4))
         # the tape's step arrays, row after row like the input, read before
         # the walk writes dz over the gates
@@ -297,9 +303,9 @@ class TestBatchedRun:
         for r, n in enumerate(self.LENGTHS):
             start, stop = stop, stop + n
             one_final, one = lstm_run(
-                p, xs[start:stop], [n],
+                p, xs[start:stop] * in_mask[r], [n],
                 init=LstmState(init.h[r : r + 1], init.c[r : r + 1]),
-                in_mask=self.one_row(in_mask, r), rec_mask=self.one_row(rec_mask, r),
+                rec_mask=None if rec_mask is None else rec_mask[r : r + 1],
                 record=True,
             )
             np.testing.assert_array_equal(final.h[r], one_final.h[0])
@@ -315,7 +321,8 @@ class TestBatchedRun:
             for name, a in g.arrays().items():
                 ref.arrays()[name] += a
             np.testing.assert_allclose(
-                in_grads[start:stop], one_in, rtol=1e-12, atol=1e-15
+                in_grads[start:stop] * step_masks[start:stop], one_in * in_mask[r],
+                rtol=1e-12, atol=1e-15,
             )
             np.testing.assert_allclose(dh0[r], one_dh0[0], rtol=1e-12, atol=1e-15)
             np.testing.assert_allclose(dc0[r], one_dc0[0], rtol=1e-12, atol=1e-15)
@@ -329,26 +336,26 @@ class TestBatchedRun:
         [1, 1],
         [2, 9, 1, 5, 1, 9, 3],
     ])
-    @pytest.mark.parametrize("masks", ["none", "shared", "per_row"])
+    @pytest.mark.parametrize("masks", ["none", "per_row"])
     def test_tape_free_run_matches_lstm_run(self, d_in, d_out, lengths, masks):
         rng = make_rng(d_in + len(lengths))
         p = LstmParams.init_uniform(d_in, d_out, -0.05, 0.05, rng)
         rows = len(lengths)
         xs = rng.normal(size=(rows, max(lengths) + 2, d_in))
-        shape = {"none": None, "shared": (), "per_row": (rows,)}[masks]
         in_mask, rec_mask = (
-            None if shape is None else rng.uniform(0.5, 1.5, size=shape + (dim,))
+            None if masks == "none" else rng.uniform(0.5, 1.5, size=(rows, dim))
             for dim in (d_in, d_out)
         )
+        if in_mask is not None:
+            xs *= in_mask[:, None]
         real_steps = xs[np.arange(xs.shape[1]) < np.array(lengths)[:, None]]
-        final, _ = lstm_run(p, real_steps, lengths, in_mask=in_mask,
-                            rec_mask=rec_mask, record=True)
-        h, tape = lstm_run(p, real_steps, lengths, in_mask=in_mask, rec_mask=rec_mask)
+        final, _ = lstm_run(p, real_steps, lengths, rec_mask=rec_mask, record=True)
+        h, tape = lstm_run(p, real_steps, lengths, rec_mask=rec_mask)
         assert tape is None
         # the tape-free run takes GEMMs where the taped run takes gemvs
         np.testing.assert_allclose(h.h, final.h, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(h.c, final.c, rtol=1e-12, atol=1e-15)
-        again, _ = lstm_run(p, real_steps, lengths, in_mask=in_mask, rec_mask=rec_mask)
+        again, _ = lstm_run(p, real_steps, lengths, rec_mask=rec_mask)
         assert again.h.tobytes() == h.h.tobytes()
         assert again.c.tobytes() == h.c.tobytes()
 
@@ -363,11 +370,11 @@ class TestBatchedRun:
         with pytest.raises(ShapeError):
             lstm_run(p, steps, [4])
         with pytest.raises(ShapeError):
-            lstm_run(p, steps, [4, 2], in_mask=np.ones((3, 3)))
+            lstm_run(p, steps, [4, 2], rec_mask=np.ones((3, 2)))
+        with pytest.raises(ShapeError):  # one mask shared by the rows: no such form
+            lstm_run(p, steps, [4, 2], rec_mask=np.ones(2))
         with pytest.raises(ShapeError):
-            lstm_run(p, steps, [4, 2], rec_mask=np.ones(3))
-        with pytest.raises(ShapeError):
-            lstm_run(p, steps, [4, 2], in_mask=np.ones((1, 3)))
+            lstm_run(p, steps, [4, 2], rec_mask=np.ones((1, 2)))
         with pytest.raises(ShapeError):
             lstm_run(p, steps, [4, 3])
         with pytest.raises(ShapeError):

@@ -8,9 +8,9 @@ import authverify.train
 from authverify.embeddings import EmbeddingTable
 from authverify.encoder import (
     EncoderParams,
-    encode_document,
-    encode_document_training,
-    encoder_backward,
+    document_gradients,
+    embed_documents,
+    encode_documents,
     init_encoder_params,
     sample_dropout_masks,
 )
@@ -63,15 +63,17 @@ def pair_gradients(
 ) -> tuple[float, EncoderParams]:
     """Loss and shared-weight gradients for one pair.
 
-    Both branches run with the same `params`; the returned gradient
-    container is the sum of the two branch contributions.
+    Both branches run with the same `params`, each document encoded and
+    walked back alone; the returned gradient container is the sum of the
+    two branch contributions.
     """
-    x1, tape1 = encode_document_training(params, pair.known, masks_known)
-    x2, tape2 = encode_document_training(params, pair.unknown, masks_unknown)
+    (x1,), tape1 = encode_documents(params, [pair.known], masks_known, record=True)
+    (x2,), tape2 = encode_documents(params, [pair.unknown], masks_unknown, record=True)
     loss = contrastive_loss(x1, x2, pair.label, thresholds)
     g1, g2 = contrastive_loss_grad(x1, x2, pair.label, thresholds)
-    grads = encoder_backward(params, tape1, g1)
-    grads.add_(encoder_backward(params, tape2, g2))
+    (grads,) = document_gradients(params, tape1, g1[None])
+    (unknown,) = document_gradients(params, tape2, g2[None])
+    grads.add_(unknown)
     return loss, grads
 
 
@@ -89,14 +91,15 @@ def per_document_gradients(
     n = len(batch)
     docs = [doc for pair in batch for doc in (pair.known, pair.unknown)]
     encoded = [
-        encode_document_training(
-            params, doc,
+        encode_documents(
+            params, [doc],
             sample_dropout_masks(dims, config.dropout_rate, rng)
             if config.dropout_rate > 0.0 else None,
+            record=True,
         )
         for doc in docs
     ]
-    x = np.stack([e for e, _ in encoded])
+    x = np.concatenate([e for e, _ in encoded])
     cross_loss, cross_grad = in_batch_negative_loss(
         x, np.repeat(np.arange(n), 2), thresholds
     )
@@ -104,11 +107,14 @@ def per_document_gradients(
     total = EncoderParams.zeros(*dims)
     loss_sum = 0.0
     for k, pair in enumerate(batch):
-        (x1, tape1), (x2, tape2) = encoded[2 * k], encoded[2 * k + 1]
+        ((x1,), tape1), ((x2,), tape2) = encoded[2 * k], encoded[2 * k + 1]
         loss_sum += contrastive_loss(x1, x2, pair.label, thresholds)
         g1, g2 = contrastive_loss_grad(x1, x2, pair.label, thresholds)
-        grads = encoder_backward(params, tape1, g1 + cross_grad[2 * k])
-        grads.add_(encoder_backward(params, tape2, g2 + cross_grad[2 * k + 1]))
+        (grads,) = document_gradients(params, tape1, (g1 + cross_grad[2 * k])[None])
+        (unknown,) = document_gradients(
+            params, tape2, (g2 + cross_grad[2 * k + 1])[None]
+        )
+        grads.add_(unknown)
         total.add_(grads)
     for a in total.arrays().values():
         a /= n
@@ -207,6 +213,14 @@ class TestTrainConfig:
             tiny_config(dropout_rate=1.0)
         with pytest.raises(ValueError):
             tiny_config(batch_size=0)
+        # Adadelta's update rule: a positive step, a decay in [0, 1), a
+        # positive epsilon (0 never moves a zero-initialized parameter)
+        for bad in (dict(adadelta_lr=0.0), dict(adadelta_lr=-1.0),
+                    dict(adadelta_rho=-0.5), dict(adadelta_rho=1.0),
+                    dict(adadelta_eps=0.0), dict(adadelta_eps=-1e-6)):
+            with pytest.raises(ValueError, match="adadelta"):
+                tiny_config(**bad)
+        assert tiny_config(adadelta_rho=0.0).adadelta_rho == 0.0
 
     @pytest.mark.parametrize("lo,hi", [(0.05, 0.05), (0.05, -0.05)])
     def test_init_range_must_be_ordered(self, lo, hi):
@@ -311,23 +325,28 @@ class TestBatchGradients:
             for l in (0, 1, 0, 1)
         ]
 
-    def test_update_direction_matches_finite_difference(self):
+    @pytest.mark.parametrize("dropout_rate", [0.0, 0.3])
+    def test_update_direction_matches_finite_difference(self, dropout_rate):
         rng = make_rng(33)
         params = EncoderParams(
             LstmParams.init_uniform(3, 2, -0.5, 0.5, rng),
             LstmParams.init_uniform(2, 2, -0.5, 0.5, rng),
         )
         batch = self.make_batch(rng)
-        xs = np.stack(
-            [encode_document(params, doc) for p in batch for doc in (p.known, p.unknown)]
+        docs = [doc for p in batch for doc in (p.known, p.unknown)]
+        # the masks batch_gradients draws from make_rng(0), one row per document
+        masks = (
+            sample_dropout_masks((3, 2, 2), dropout_rate, make_rng(0), len(docs))
+            if dropout_rate > 0.0 else None
         )
+        xs = embed_documents(params, docs, masks)
         d = np.linalg.norm(xs[:, None] - xs[None, :], axis=-1)
         off_diagonal = d[~np.eye(len(xs), dtype=bool)]
         # every pair and cross pair strictly between tau1 and tau2: the
         # curved region of both loss terms
         config = tiny_config(
             tau1=0.5 * off_diagonal.min(), tau2=off_diagonal.max() + 1.0,
-            in_batch_weight=2.0,
+            in_batch_weight=2.0, dropout_rate=dropout_rate,
         )
 
         def loss():
@@ -470,8 +489,8 @@ class TestTapeFreeRuns:
         assert runs == [1, 2] * chunks
         assert distances == [
             distance(
-                encode_document_training(params, p.known)[0],
-                encode_document_training(params, p.unknown)[0],
+                encode_documents(params, [p.known], record=True)[0][0],
+                encode_documents(params, [p.unknown], record=True)[0][0],
             )
             for p in batch
         ]
@@ -565,11 +584,9 @@ class TestTrainStep:
         pair = EncodedPair(
             random_doc(rng, 3, [2], 3, 3), random_doc(rng, 3, [1, 2], 3, 3), 0
         )
-        from authverify.encoder import encode_document_training
-
         checksums = []
         for doc in (pair.known, pair.unknown):
-            encode_document_training(params, doc)
+            encode_documents(params, [doc], record=True)
             checksums.append(
                 tuple(a.tobytes() for a in params.arrays().values())
             )
