@@ -17,6 +17,7 @@ from .encoder import (
 )
 from .encoder import encode_document as embed_document
 from .evaluate import (
+    CheckpointError,
     ConfusionCounts,
     CvReport,
     Metrics,

@@ -9,8 +9,9 @@ All randomness flows from `--seed`; `train` draws its split and its fit
 from two independent `SeedSequence` children of it.  Report output
 carries no timestamps, so two runs with the same seed write identical
 bytes.  An input the program rejects where it reads it (a config, an
-embedding file, a corpus, a text with no sentence) or a corpus too small
-for its split is a usage error of the subcommand: exit status 2.
+embedding file, a corpus, a checkpoint, a text with no sentence), an
+input file that does not exist, or a corpus too small for its split is a
+usage error of the subcommand: exit status 2.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def _load_config(args) -> TrainConfig:
         with open(args.config, encoding="utf-8") as fh:
             try:
                 config = TrainConfig.from_dict(json.load(fh))
-            except ValueError as exc:  # not JSON, unknown keys, a value out of range
+            except ValueError as exc:  # not JSON, unknown keys, a bad value
                 args.usage_error(f"{args.config}: {exc}")
     else:
         config = TrainConfig()
@@ -141,7 +142,10 @@ def _explain(text: str, model: Model) -> dict[str, int]:
 
 
 def _cmd_verify(args) -> int:
-    params, config = load_checkpoint(args.checkpoint)
+    try:
+        params, config = load_checkpoint(args.checkpoint)
+    except ValueError as exc:  # not a checkpoint, or its config or dims rejected
+        args.usage_error(f"{args.checkpoint}: {exc}")
     table = _load_embeddings(args, config)
     with open(args.doc_a, encoding="utf-8") as fh:
         doc_a = fh.read()
@@ -283,6 +287,8 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SplitError as exc:  # a corpus too small for its split
         args.usage_error(str(exc))
+    except FileNotFoundError as exc:  # an input file that is not there
+        args.usage_error(f"{exc.filename}: {exc.strerror}")
 
 
 if __name__ == "__main__":

@@ -55,14 +55,16 @@ __all__ = [
 
 @dataclass
 class EncoderParams:
-    """Parameters of both hierarchy levels.
+    """Parameters of both hierarchy levels and the output scale.
 
     level1: words -> sentence cell (d_in = word dim, d_out = sentence dim).
     level2: sentences -> document cell (d_in = sentence dim, d_out = doc dim).
+    scale: (1,), s of the document embedding s * h_T; 1.0 unless given.
     """
 
     level1: LstmParams
     level2: LstmParams
+    scale: np.ndarray = field(default_factory=lambda: np.ones(1))
 
     def __post_init__(self) -> None:
         if self.level2.d_in != self.level1.d_out:
@@ -70,6 +72,8 @@ class EncoderParams:
                 f"level2 input dim {self.level2.d_in} must equal "
                 f"level1 output dim {self.level1.d_out}"
             )
+        if self.scale.shape != (1,):
+            raise ShapeError(f"scale must be (1,), got {self.scale.shape}")
 
     @property
     def d_w(self) -> int:
@@ -84,26 +88,29 @@ class EncoderParams:
         return self.level2.d_out
 
     def arrays(self) -> dict[str, np.ndarray]:
-        """Flat named view of all parameter arrays, in a fixed order."""
+        """Flat named view of all parameter arrays, in a fixed order, the
+        scale last."""
         out: dict[str, np.ndarray] = {}
         for level_name, level in (("level1", self.level1), ("level2", self.level2)):
             for key, a in level.arrays().items():
                 out[f"{level_name}.{key}"] = a
+        out["scale"] = self.scale
         return out
 
     def copy(self) -> "EncoderParams":
-        return EncoderParams(self.level1.copy(), self.level2.copy())
+        return EncoderParams(self.level1.copy(), self.level2.copy(), self.scale.copy())
 
     @classmethod
     def zeros(cls, d_w: int, d_s: int, d_d: int) -> "EncoderParams":
-        return cls(level1=LstmParams.zeros(d_w, d_s), level2=LstmParams.zeros(d_s, d_d))
+        return cls(
+            LstmParams.zeros(d_w, d_s), LstmParams.zeros(d_s, d_d), np.zeros(1)
+        )
 
     def add_(self, other: "EncoderParams") -> None:
         """In-place element-wise accumulation (gradient summing)."""
-        for mine, theirs in ((self.level1, other.level1), (self.level2, other.level2)):
-            mine.w += theirs.w
-            mine.u += theirs.u
-            mine.b += theirs.b
+        theirs = other.arrays()
+        for key, a in self.arrays().items():
+            a += theirs[key]
 
 
 def init_encoder_params(
@@ -114,7 +121,8 @@ def init_encoder_params(
     hi: float = 0.05,
     rng: np.random.Generator | None = None,
 ) -> EncoderParams:
-    """Uniform [lo, hi) initialization of every matrix and bias.
+    """Uniform [lo, hi) initialization of every matrix and bias, and the
+    scale at 1.0, which draws nothing.
 
     Default dims halve per level from a 300-dimensional word embedding;
     draw order is level1 (w, u, b) then level2 (w, u, b).
@@ -167,11 +175,13 @@ def sample_dropout_masks(
 @dataclass
 class DocumentTape:
     """Forward caches of an encoding of documents, for document_gradients:
-    both runs' tapes and level 2's input mask, a row per document."""
+    both runs' tapes, level 2's input mask and its final hidden states, a
+    row per document."""
 
     level1_tape: LstmTape = field(repr=False)  # one row per sentence
     level2_tape: LstmTape = field(repr=False)  # one row per document
     input2: np.ndarray | None = field(repr=False)  # (n, d_s), or None
+    final: np.ndarray = field(repr=False)  # (n, d_d): h_T, before the scale
 
 
 def encode_documents(
@@ -180,8 +190,8 @@ def encode_documents(
     masks: DropoutMasks | None = None,
     record: bool = False,
 ) -> tuple[np.ndarray, DocumentTape | None]:
-    """Embeddings (len(docs), d_d) of documents in two runs, with both
-    runs' tapes if `record`.
+    """Embeddings s * h_T, (len(docs), d_d), of documents in two runs,
+    with both runs' tapes if `record`.
 
     Level 1's input rows are the word vectors of each document's distinct
     token ids, from its own matrix and under its own input mask, keyed by
@@ -217,8 +227,8 @@ def encode_documents(
     final, level2_tape = lstm_run(
         params.level2, steps, counts, rec_mask=recurrent2, record=record
     )
-    tape = DocumentTape(level1_tape, level2_tape, input2) if record else None
-    return final.h, tape
+    tape = DocumentTape(level1_tape, level2_tape, input2, final.h) if record else None
+    return final.h * params.scale, tape
 
 
 def embed_documents(
@@ -252,12 +262,13 @@ def document_gradients(
     of each encoded document, (n, d_d): one EncoderParams per document,
     in order, each formed only when asked for.
 
-    Each level is walked back once for all documents, spending the tapes;
-    level 2's input gradients, times its input mask, are the upstream
-    hidden-state gradients of level 1's sentence rows (word vectors are
-    pretrained, so get none).  A document's gradients come from its own
-    rows, with the bits of it encoded and walked back alone.  Other
-    dimensions raise ShapeError.
+    The scale's gradient is d_x[j] . h_T[j], and level 2 is walked back
+    from s * d_x.  Each level is walked back once for all documents,
+    spending the tapes; level 2's input gradients, times its input mask,
+    are the upstream hidden-state gradients of level 1's sentence rows
+    (word vectors are pretrained, so get none).  A document's gradients
+    come from its own rows, with the bits of it encoded and walked back
+    alone.  Other dimensions raise ShapeError.
     """
     level1, level2 = tape.level1_tape, tape.level2_tape
     # where each document's steps start and end: at level 2 its sentences,
@@ -265,7 +276,8 @@ def document_gradients(
     sentences = np.concatenate([[0], np.cumsum(level2.lengths)])
     words = np.concatenate([[0], np.cumsum(level1.lengths)])[sentences].tolist()
     sentences = sentences.tolist()
-    lstm_backward_dz(params.level2, level2, d_x, np.zeros_like(d_x))
+    d_h = d_x * params.scale
+    lstm_backward_dz(params.level2, level2, d_h, np.zeros_like(d_h))
     d_sent = input_gradients(params.level2, level2, sentences)
     if tape.input2 is not None:
         d_sent *= np.repeat(tape.input2, level2.lengths, axis=0)
@@ -274,4 +286,5 @@ def document_gradients(
         yield EncoderParams(
             level1=param_gradients(level1, slice(words[j], words[j + 1])),
             level2=param_gradients(level2, slice(sentences[j], sentences[j + 1])),
+            scale=np.array([d_x[j] @ tape.final[j]]),
         )

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+import zipfile
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
@@ -42,6 +43,7 @@ __all__ = [
     "Metrics",
     "confusion_metrics",
     "Model",
+    "CheckpointError",
     "save_checkpoint",
     "load_checkpoint",
     "pair_distances",
@@ -122,19 +124,33 @@ def save_checkpoint(path: str, params: EncoderParams, config: TrainConfig) -> No
         np.savez(fh, **payload)
 
 
+# The arrays of a checkpoint: `EncoderParams.arrays()`, "." written "_".
+CHECKPOINT_ARRAYS = (
+    "level1_w", "level1_u", "level1_b", "level2_w", "level2_u", "level2_b", "scale"
+)
+
+
+class CheckpointError(ValueError):
+    """A file that is not a checkpoint of `save_checkpoint`'s form."""
+
+
 def load_checkpoint(path: str) -> tuple[EncoderParams, TrainConfig]:
     """Inverse of save_checkpoint; round-trips values exactly.  Raises
-    ShapeError when the arrays do not have the stored config's dims."""
-    with np.load(path, allow_pickle=False) as archive:
-        config = TrainConfig.from_dict(json.loads(str(archive["config_json"])))
-        params = EncoderParams(
-            level1=LstmParams(
-                w=archive["level1_w"], u=archive["level1_u"], b=archive["level1_b"]
-            ),
-            level2=LstmParams(
-                w=archive["level2_w"], u=archive["level2_u"], b=archive["level2_b"]
-            ),
-        )
+    CheckpointError for a file that is not an .npz archive or lacks one of
+    the arrays or the config, and ShapeError when the arrays do not have
+    the stored config's dims."""
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            config_json = str(archive["config_json"])
+            a = {key: archive[key] for key in CHECKPOINT_ARRAYS}
+    except (ValueError, TypeError, KeyError, EOFError, zipfile.BadZipFile) as exc:
+        raise CheckpointError(f"not a checkpoint: {exc}") from None
+    config = TrainConfig.from_dict(json.loads(config_json))
+    params = EncoderParams(
+        LstmParams(a["level1_w"], a["level1_u"], a["level1_b"]),
+        LstmParams(a["level2_w"], a["level2_u"], a["level2_b"]),
+        a["scale"],
+    )
     dims = (params.d_w, params.d_s, params.d_d)
     if dims != (config.d_w, config.d_s, config.d_d):
         raise ShapeError(f"checkpoint {path!r}: arrays of dims {dims}, config {config}")

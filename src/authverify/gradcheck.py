@@ -176,19 +176,23 @@ def check_pipeline_config(
     d_s: int = 2,
     d_d: int = 2,
     label: str = "",
+    scale: float = 1.5,
 ) -> GradCheckReport:
-    """Encoder plus contrastive loss on one document pair, dropout off.
+    """Encoder plus contrastive loss on one document pair, dropout off,
+    every parameter checked, the output scale at `scale`.
 
     The pair takes training's path: one taped `encode_documents` call and
     one `document_gradients` walk.  Thresholds are set from the pair's
     actual embedding distance (tau1 = d/2, tau2 = 2d) so both labels land
     deep in the curved region of the loss, far from the kinks finite
-    differences must avoid.
+    differences must avoid.  A scale other than 1 checks that level 2 is
+    walked back from s * dL/dx.
     """
     rng = make_rng(seed)
     params = EncoderParams(
         level1=LstmParams.init_uniform(d_w, d_s, -0.5, 0.5, rng),
         level2=LstmParams.init_uniform(d_s, d_d, -0.5, 0.5, rng),
+        scale=np.array([scale]),
     )
     docs = [_random_document(rng, d_w, 2, 2, 2, 2) for _ in range(2)]
 

@@ -71,6 +71,9 @@ __all__ = [
 # documents are always reshuffled each epoch.
 RETIRED_FIELDS = {"dtype": "float64", "augment": True}
 
+# The values each annotated field type accepts from a config file.
+FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool}
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -81,8 +84,10 @@ class TrainConfig:
     sentence/word caps 123/33, Adadelta at fixed learning rate 1.0,
     dropout 0.3, clip norm 5, batch size 32.
 
-    `in_batch_weight` departs from that recipe: it weights the in-batch
-    negative term of `batch_gradients`, and 0 gives the paper's objective.
+    Two fields depart from that recipe.  `in_batch_weight` weights the
+    in-batch negative term of `batch_gradients`, and 0 gives the paper's
+    objective.  `learn_scale` trains the encoder's output scale; off, the
+    scale's gradient is 0, so it stays at 1.0 and the model is the paper's.
     """
 
     d_w: int = 300
@@ -104,6 +109,7 @@ class TrainConfig:
     init_lo: float = -0.05
     init_hi: float = 0.05
     in_batch_weight: float = 8.0
+    learn_scale: bool = True
 
     def __post_init__(self) -> None:
         for name in ("d_w", "d_s", "d_d", "max_words", "max_sentences",
@@ -140,7 +146,9 @@ class TrainConfig:
     def from_dict(cls, d: dict) -> "TrainConfig":
         """Config from `to_dict` output.  A retired field is dropped when it
         carries the one value the code still implements (see
-        RETIRED_FIELDS); any other value cannot be honoured and raises."""
+        RETIRED_FIELDS); any other value cannot be honoured and raises, as
+        does an unknown key or a value not of its field's type (an int
+        passes for a float, a bool for nothing else)."""
         d = dict(d)
         for name, kept in RETIRED_FIELDS.items():
             value = d.pop(name, kept)
@@ -153,6 +161,15 @@ class TrainConfig:
         unknown = set(d) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for f in fields(cls):
+            value = d.get(f.name)
+            if f.name in d and (
+                isinstance(value, bool) != (f.type == "bool")
+                or not isinstance(value, FIELD_TYPES[f.type])
+            ):
+                raise ValueError(
+                    f"config field {f.name!r} must be of type {f.type}, got {value!r}"
+                )
         return cls(**d)
 
     def updated(self, **kwargs) -> "TrainConfig":
@@ -238,7 +255,8 @@ def batch_gradients(
     gradients are summed known plus unknown, then into the total, pair by
     pair, so a step holds the batch's tapes but two documents' gradients.
     With weight 0 this is the mean over the batch of each pair's
-    contrastive loss and of the sum of its two branch gradients.
+    contrastive loss and of the sum of its two branch gradients.  Without
+    `config.learn_scale` the scale's gradient is 0.
     """
     if not batch:
         raise ValueError("batch_gradients requires a non-empty batch")
@@ -271,6 +289,8 @@ def batch_gradients(
     for known in grads:  # each pair's known side, then its unknown side
         known.add_(next(grads))
         total.add_(known)
+    if not config.learn_scale:
+        total.scale[0] = 0.0  # a zero step: the scale stays at 1.0
     mean_loss = loss_sum / n + config.in_batch_weight * cross_loss
     if not np.isfinite(mean_loss):
         raise FloatingPointError(f"non-finite batch loss {mean_loss}")

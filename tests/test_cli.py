@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import authverify.cli
@@ -357,6 +358,66 @@ class TestRejectedInputs:
                         str(emb), str(text), str(blank), "--out", str(out)], capsys)
         assert "empty document" in err
         assert not out.exists()
+
+    def test_config_value_of_the_wrong_type(self, workspace, tmp_path, capsys):
+        _, corpus, emb = workspace
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"d_w": 20, "d_s": "x"}))
+        checkpoint = tmp_path / "model.npz"
+        err = self.run(["train", "--corpus", str(corpus), "--embeddings", str(emb),
+                        "--config", str(config), "--checkpoint", str(checkpoint)],
+                       capsys)
+        assert "config field 'd_s' must be of type int, got 'x'" in err
+        assert not checkpoint.exists()
+
+    @pytest.mark.parametrize("missing", ["--corpus", "--embeddings", "--config"])
+    def test_missing_input_file_named(self, workspace, tmp_path, capsys, missing):
+        root, corpus, emb = workspace
+        paths = {"--corpus": str(corpus), "--embeddings": str(emb),
+                 "--config": str(fast_config(root))}
+        paths[missing] = str(tmp_path / "absent.file")
+        argv = ["train", "--checkpoint", str(tmp_path / "model.npz")]
+        for flag, path in paths.items():
+            argv += [flag, path]
+        err = self.run(argv, capsys)
+        assert f"{tmp_path / 'absent.file'}: No such file or directory" in err
+
+    def verify_argv(self, emb, tmp_path, checkpoint):
+        text = tmp_path / "text.txt"
+        text.write_text("w000 w001.")
+        return ["verify", "--checkpoint", str(checkpoint), "--embeddings", str(emb),
+                str(text), str(text), "--out", str(tmp_path / "decision.json")]
+
+    def test_missing_verify_text_named(self, workspace, tmp_path, capsys):
+        _, _, emb = workspace
+        checkpoint = tmp_path / "model.npz"
+        save_checkpoint(str(checkpoint), init_encoder_params(20, 4, 3, rng=make_rng(0)),
+                        TrainConfig(d_w=20, d_s=4, d_d=3))
+        argv = self.verify_argv(emb, tmp_path, checkpoint)
+        argv[-3] = str(tmp_path / "absent.txt")
+        err = self.run(argv, capsys)
+        assert f"{tmp_path / 'absent.txt'}: No such file or directory" in err
+        assert not (tmp_path / "decision.json").exists()
+
+    def test_file_that_is_not_a_checkpoint(self, workspace, tmp_path, capsys):
+        _, _, emb = workspace
+        checkpoint = tmp_path / "notnpz.npz"
+        checkpoint.write_text("hello")
+        err = self.run(self.verify_argv(emb, tmp_path, checkpoint), capsys)
+        assert f"{checkpoint}: not a checkpoint" in err
+        assert not (tmp_path / "decision.json").exists()
+
+    def test_checkpoint_without_scale(self, workspace, tmp_path, capsys):
+        _, _, emb = workspace
+        checkpoint = tmp_path / "model.npz"
+        save_checkpoint(str(checkpoint), init_encoder_params(20, 4, 3, rng=make_rng(0)),
+                        TrainConfig(d_w=20, d_s=4, d_d=3))
+        with np.load(checkpoint) as archive:
+            payload = {k: a for k, a in archive.items() if k != "scale"}
+        np.savez(checkpoint, **payload)
+        err = self.run(self.verify_argv(emb, tmp_path, checkpoint), capsys)
+        assert "not a checkpoint" in err and "scale" in err
+        assert not (tmp_path / "decision.json").exists()
 
 
 class TestEntryPoint:

@@ -74,14 +74,18 @@ class TestEncoderParams:
 
     def test_init_range(self, rng):
         params = init_encoder_params(6, 4, 2, rng=rng)
-        for a in params.arrays().values():
-            assert np.all(a >= -0.05) and np.all(a < 0.05)
+        for name, a in params.arrays().items():
+            if name == "scale":  # set, not drawn
+                assert a.tobytes() == np.ones(1).tobytes()
+            else:
+                assert np.all(a >= -0.05) and np.all(a < 0.05)
 
     def test_arrays_order_stable(self, rng):
         params = init_encoder_params(6, 4, 2, rng=rng)
         assert list(params.arrays()) == [
             "level1.w", "level1.u", "level1.b",
             "level2.w", "level2.u", "level2.b",
+            "scale",
         ]
 
 

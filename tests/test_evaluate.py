@@ -11,6 +11,7 @@ import authverify.train
 from authverify.embeddings import EmbeddingTable
 from authverify.encoder import embed_documents, init_encoder_params
 from authverify.evaluate import (
+    CheckpointError,
     ConfusionCounts,
     CvReport,
     FoldResult,
@@ -77,6 +78,31 @@ class TestCheckpoint:
         assert loaded_config == config
         for key, a in params.arrays().items():
             np.testing.assert_array_equal(loaded_params.arrays()[key], a)
+
+    def test_scale_round_trips(self, tmp_path):
+        params = init_encoder_params(4, 3, 2, rng=make_rng(3))
+        params.scale[0] = 2.718281828459045
+        path = tmp_path / "model.npz"
+        save_checkpoint(str(path), params, tiny_config(d_w=4, d_s=3, d_d=2))
+        loaded, _ = load_checkpoint(str(path))
+        assert loaded.scale.tobytes() == params.scale.tobytes()
+
+    def test_checkpoint_without_scale_rejected(self, tmp_path):
+        path = tmp_path / "model.npz"
+        save_checkpoint(str(path), init_encoder_params(4, 3, 2, rng=make_rng(0)),
+                        tiny_config(d_w=4, d_s=3, d_d=2))
+        with np.load(path) as archive:
+            payload = {k: a for k, a in archive.items() if k != "scale"}
+        np.savez(path, **payload)
+        with pytest.raises(CheckpointError, match="scale"):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("content", [b"hello", b"", b"PK\x03\x04 not a zip"])
+    def test_file_that_is_not_a_checkpoint_rejected(self, tmp_path, content):
+        path = tmp_path / "model.npz"
+        path.write_bytes(content)
+        with pytest.raises(CheckpointError, match="not a checkpoint"):
+            load_checkpoint(str(path))
 
     def test_config_thresholds_survive(self, tmp_path):
         params = init_encoder_params(4, 3, 2, rng=make_rng(0))

@@ -1,7 +1,10 @@
 import numpy as np
 
+import pytest
+
 from authverify.gradcheck import (
     GradCheckReport,
+    check_pipeline_config,
     compare_grads,
     numeric_gradient,
     run_suite,
@@ -57,3 +60,12 @@ class TestRunSuite:
             assert isinstance(report, GradCheckReport)
             assert report.ok, report.failures[:3]
             assert report.checked > 0
+
+
+class TestPipelineScale:
+    @pytest.mark.parametrize("scale", [0.6, 1.5, 2.8])
+    def test_scale_other_than_one(self, scale):
+        # the embedding is s * h_T: ds and the level-2 walk from s * dx
+        for label, seed in ((1, 7), (0, 8)):
+            report = check_pipeline_config(seed=seed, label_value=label, scale=scale)
+            assert report.ok, report.failures[:3]

@@ -229,6 +229,18 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="init_lo < init_hi"):
             TrainConfig.from_dict(dict(TrainConfig().to_dict(), init_lo=lo, init_hi=hi))
 
+    @pytest.mark.parametrize("field,value", [
+        ("d_s", "x"), ("d_s", 4.0), ("batch_size", True), ("tau2", "3"),
+        ("dropout_rate", None), ("learn_scale", 1), ("learn_scale", "false"),
+    ])
+    def test_value_of_the_wrong_type_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"config field '{field}' must be of type"):
+            TrainConfig.from_dict({**TrainConfig().to_dict(), field: value})
+
+    def test_int_accepted_for_a_float(self):
+        c = TrainConfig.from_dict({"tau1": 0, "tau2": 2, "learn_scale": False})
+        assert (c.tau1, c.tau2, c.learn_scale) == (0, 2, False)
+
     def test_tau1_must_be_non_negative(self):
         with pytest.raises(ValueError, match="0 <= tau1"):
             tiny_config(tau1=-0.5)
@@ -762,6 +774,18 @@ class TestFit:
         result = fit(train, dev, word_table(), tiny_config(max_epochs=3, patience=3))
         pairs = [encode_instance(x, word_table(), tiny_config()) for x in dev]
         assert result.dev_distances == pair_distances(result.params, pairs)[0]
+
+    @pytest.mark.parametrize("learn_scale", [False, True])
+    def test_scale_trained_only_when_asked(self, learn_scale):
+        train, dev = self.make_data()
+        config = tiny_config(max_epochs=3, patience=3, dropout_rate=0.3,
+                             learn_scale=learn_scale)
+        result = fit(train, dev, word_table(), config)
+        assert len(result.log) == 3
+        if learn_scale:
+            assert result.params.scale[0] != 1.0
+        else:  # every step exactly zero
+            assert result.params.scale.tobytes() == np.ones(1).tobytes()
 
     def test_best_params_copied_not_aliased(self):
         train, dev = self.make_data()

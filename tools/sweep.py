@@ -19,8 +19,10 @@ drift.  Per seed it reports:
   by distance into collisions (d < 0.5: two authors mapped to one
   point), corners (1.8 <= d < 2.0, just under the midpoint, where two
   saturated embeddings one coordinate apart lie) and the rest;
-- `saturation`: the share of the test documents' embedding coordinates
-  with |x| > 0.99;
+- `saturation`: the share of the test documents' level-2 output
+  coordinates with |h| > 0.99, the embedding being s * h;
+- `scale`: the trained output scale s of the selected epoch's
+  parameters (1.0 when `learn_scale` is off);
 - `epochs`, `best_epoch` and `seconds` (corpus, fit and test scoring);
 - `mean_vector_accuracy`: a baseline without training, the Euclidean
   distance of each side's mean word vector, thresholded by `calibrate_tau`
@@ -80,7 +82,7 @@ from test_acceptance import bench_config  # noqa: E402
 PROCESSES = 2
 COLLISION = 0.5  # false positives closer than this are collisions
 CORNER = (1.8, 2.0)  # ... in this band, corners of the box one coordinate apart
-SATURATED = 0.99  # an embedding coordinate beyond this is saturated
+SATURATED = 0.99  # a level-2 output coordinate beyond this is saturated
 FP_BUCKETS = ("fp_collision", "fp_corner", "fp_other")
 
 
@@ -165,7 +167,8 @@ def run_seed(overrides: dict, seed: int) -> dict:
         ).accuracy,
         "margin": float(d[y == 0].mean() - d[y == 1].mean()),
         **false_positive_buckets(distances, labels, config.thresholds.midpoint),
-        "saturation": float(np.mean(np.abs(x) > SATURATED)),
+        "saturation": float(np.mean(np.abs(x) > SATURATED * result.params.scale[0])),
+        "scale": float(result.params.scale[0]),
         "epochs": len(result.log),
         "best_epoch": result.best_epoch,
         "seconds": round(seconds, 2),
