@@ -2,8 +2,10 @@
 
 Level 1 maps each sentence's word vectors to a sentence embedding (the
 word LSTM's final hidden state); level 2 runs over the sentence
-embeddings and its final hidden state is the document embedding.  Both
-levels start from zero states.
+embeddings, and its final hidden state h_T, times a learned scale s, is
+the document embedding.  h_T lies in (-1, 1)^d_d; the scale lets the
+loss's distances reach past that box.  Both levels start from zero
+states.
 
 Every encoding takes the same path, `encode_documents`: level 1 is one
 `lstm_run` with a row per sentence of every document, and level 2 is one
@@ -11,11 +13,12 @@ Every encoding takes the same path, `encode_documents`: level 1 is one
 distinct (document, token id) pairs of the call, each word vector
 gathered once under its document's input mask, so its U x is computed
 once however often the word occurs.  Training encodes a batch with
-tapes, whose gemvs give every document the bits it would get encoded
-alone, and `document_gradients` walks each level back once for all of
-it; one document is a batch of one.  Embeddings that need no gradient go
-through `embed_documents`, whose GEMMs can move a document's last bits
-with the other documents of the call.
+tapes, and `document_gradients` walks each level back once for all of
+it and returns the gradient summed over its documents; one document is
+a batch of one.  Embeddings that need no gradient go through
+`embed_documents`.  Every run takes GEMMs, so a document's embedding and
+its share of a gradient can move in their last bits with the other
+documents of the call, never between two calls on the same documents.
 Variational dropout masks, when given, multiply the input and recurrent
 activations at every step of a sequence, a row per document: the encoder
 masks each level's input rows, `lstm_run` the recurrent state.  One
@@ -24,7 +27,6 @@ level-1 mask pair is shared by all sentences of a document.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -237,9 +239,8 @@ def embed_documents(
     masks: DropoutMasks | None = None,
 ) -> np.ndarray:
     """Embeddings (len(docs), d_d) of documents, in order and without a
-    tape; row j equals the embedding of docs[j] alone by a taped
-    `encode_documents` under row j of each of `masks`, up to rounding
-    that depends on the other documents."""
+    tape; row j equals the embedding of docs[j] alone under row j of each
+    of `masks`, up to rounding that depends on the other documents."""
     if not docs:
         return np.empty((0, params.d_d))
     return encode_documents(params, docs, masks)[0]
@@ -257,34 +258,24 @@ def encode_document(
 
 def document_gradients(
     params: EncoderParams, tape: DocumentTape, d_x: np.ndarray
-) -> Iterator[EncoderParams]:
+) -> tuple[EncoderParams]:
     """Exact parameter gradients of a scalar loss given dL/d(embedding)
-    of each encoded document, (n, d_d): one EncoderParams per document,
-    in order, each formed only when asked for.
+    of each encoded document, (n, d_d), summed over the documents: a
+    one-item tuple `(grads,)`.
 
-    The scale's gradient is d_x[j] . h_T[j], and level 2 is walked back
-    from s * d_x.  Each level is walked back once for all documents,
-    spending the tapes; level 2's input gradients, times its input mask,
-    are the upstream hidden-state gradients of level 1's sentence rows
-    (word vectors are pretrained, so get none).  A document's gradients
-    come from its own rows, with the bits of it encoded and walked back
-    alone.  Other dimensions raise ShapeError.
+    The scale's gradient is sum_j d_x[j] . h_T[j], and level 2 is walked
+    back from s * d_x.  Each level is walked back once for all documents,
+    spending the tapes, and takes one product per parameter array; level
+    2's input gradients, times its input mask, are the upstream
+    hidden-state gradients of level 1's sentence rows (word vectors are
+    pretrained, so get none).  Other dimensions raise ShapeError.
     """
     level1, level2 = tape.level1_tape, tape.level2_tape
-    # where each document's steps start and end: at level 2 its sentences,
-    # which are its rows at level 1, and at level 1 their words
-    sentences = np.concatenate([[0], np.cumsum(level2.lengths)])
-    words = np.concatenate([[0], np.cumsum(level1.lengths)])[sentences].tolist()
-    sentences = sentences.tolist()
     d_h = d_x * params.scale
     lstm_backward_dz(params.level2, level2, d_h, np.zeros_like(d_h))
-    d_sent = input_gradients(params.level2, level2, sentences)
+    d_sent = input_gradients(params.level2, level2)
     if tape.input2 is not None:
         d_sent *= np.repeat(tape.input2, level2.lengths, axis=0)
     lstm_backward_dz(params.level1, level1, d_sent, np.zeros_like(d_sent))
-    for j in range(len(sentences) - 1):
-        yield EncoderParams(
-            level1=param_gradients(level1, slice(words[j], words[j + 1])),
-            level2=param_gradients(level2, slice(sentences[j], sentences[j + 1])),
-            scale=np.array([d_x[j] @ tape.final[j]]),
-        )
+    scale = np.array([np.vdot(d_x, tape.final)])
+    return (EncoderParams(param_gradients(level1), param_gradients(level2), scale),)

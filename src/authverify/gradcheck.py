@@ -182,7 +182,7 @@ def check_pipeline_config(
     every parameter checked, the output scale at `scale`.
 
     The pair takes training's path: one taped `encode_documents` call and
-    one `document_gradients` walk.  Thresholds are set from the pair's
+    one `document_gradients` walk, which sums the two documents' gradients.  Thresholds are set from the pair's
     actual embedding distance (tau1 = d/2, tau2 = 2d) so both labels land
     deep in the curved region of the loss, far from the kinks finite
     differences must avoid.  A scale other than 1 checks that level 2 is
@@ -206,8 +206,7 @@ def check_pipeline_config(
         return contrastive_loss(a, b, label_value, thresholds)
 
     upstream = np.stack(contrastive_loss_grad(x1, x2, label_value, thresholds))
-    grads, unknown = document_gradients(params, tape, upstream)
-    grads.add_(unknown)
+    (grads,) = document_gradients(params, tape, upstream)
 
     failures: list[GradCheckFailure] = []
     checked = 0

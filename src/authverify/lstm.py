@@ -20,16 +20,14 @@ input dropout mask is the caller's product, and a run takes only the
 recurrent mask, a row per sequence.  It keeps a tape only when asked:
 training asks, for every document of a batch at once; embeddings that
 need no gradient do not.  U x is taken once for every input vector
-before the first step, W h for the running rows at each step.  A taped run makes each product its own gemv call,
-by one stacked matmul (`_gemv`), so a row gets the bits it would get
-alone and the trained weights do not depend on batching.  A run without
-a tape feeds no gradient and takes GEMMs (`_gemm`): deterministic, but a
-row's last bits can depend on the other rows.  Training stays on gemvs
-until a change of its bits can be ranked over many seeds.
-`lstm_backward_dz` walks the rows back together, one W^T gemv per row
-and step, and leaves each step's dz in the tape, from which
-`param_gradients` and `input_gradients` take the gradients of any span
-of rows by products over that span's steps alone.
+before the first step, W h for the running rows at each step, each by
+one GEMM (`_gemm`).  `lstm_backward_dz` walks the rows back together,
+one GEMM per step, and leaves each step's dz in the tape, from which
+`param_gradients` and `input_gradients` take one product each over the
+whole run.  The same run on the same host gives the same bytes, but a
+row's last bits depend on the other rows of its run, since a GEMM's
+rounding can depend on its shape, and on the BLAS library, its thread
+count and the CPU kernels it picks.
 
 Live prefixes
 -------------
@@ -201,21 +199,6 @@ class LstmTape:
     spent: bool = False  # walked back: `gates` holds dz
 
 
-def _gemv(
-    a: np.ndarray, rows: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """`a @ r` for every vector r along the last axis of `rows`, written
-    to `out` if given: the products of a taped run.
-
-    The stacked matmul makes one gemv call per vector, so each result has
-    the bits of `a @ r` computed alone.  A GEMM (`_gemm`) sums in another
-    order and may change the last bits.
-    """
-    if out is not None:
-        out = out[..., None]
-    return np.matmul(a, rows[..., None], out=out)[..., 0]
-
-
 def _gemm(a: np.ndarray, rows: np.ndarray, out: np.ndarray | None = None):
     """`rows @ a.T`, written to `out` if given: one GEMM over the rows of
     `rows` (n, d), whose last bits may depend on n."""
@@ -248,9 +231,8 @@ def lstm_run(
     computing only the rows still running (see the module docstring).
     Returns the state after each row's last step, each (R, d_out) in the
     caller's row order, and the tape if `record`, else None.  Each step
-    adds W h, U x (taken once per row of `xs`) and b in that order; with
-    a tape every product is its own gemv (`_gemv`), without one a GEMM
-    (`_gemm`, see the module docstring).
+    adds W h, U x and b in that order; U x is one GEMM (`_gemm`) over the
+    rows of `xs` before the first step, and W h one GEMM per step.
     """
     lengths = np.asarray(lengths)
     if lengths.ndim != 1 or len(lengths) == 0 or lengths.min() < 1:
@@ -292,8 +274,7 @@ def lstm_run(
     rec_m = None if rec_mask is None else rec_mask[order]
     if not indexed:
         x_index = np.arange(tokens)
-    product = _gemv if record else _gemm  # a taped run's bits reach the weights
-    ux = product(params.u, xs)  # U x of every row of xs, before the first step
+    ux = _gemm(params.u, xs)  # U x of every row of xs, before the first step
     x_rows = x_index[source]  # the row of xs that every packed step reads
     # Without a tape the step arrays are one step's scratch: every step
     # writes from row 0, where the rows it computes sit.
@@ -313,7 +294,7 @@ def lstm_run(
         elif record:
             h_t = h_in[block]
             h_t[...] = h[:k]
-        g = product(params.w, h_t, out=gates[block])
+        g = _gemm(params.w, h_t, out=gates[block])
         g += ux[x_rows[first_t : first_t + k]]
         g += params.b
         # the gates overwrite their preactivations
@@ -346,9 +327,7 @@ def lstm_run_backward(
     input, dL/dh_0, dL/dc_0).  The tape is spent (see `lstm_backward_dz`).
     """
     dh, dc = lstm_backward_dz(params, tape, d_h_final, d_c_final)
-    steps = len(tape.index)
-    grads = param_gradients(tape, slice(0, steps))
-    return grads, input_gradients(params, tape, [0, steps]), dh, dc
+    return param_gradients(tape), input_gradients(params, tape), dh, dc
 
 
 def _walked(tape: LstmTape) -> LstmTape:
@@ -357,30 +336,30 @@ def _walked(tape: LstmTape) -> LstmTape:
     return tape
 
 
-def param_gradients(tape: LstmTape, steps: slice) -> LstmParams:
-    """Parameter gradients of the input steps `steps` of a walked run,
-    whole rows (row r's steps follow those of rows 0..r-1): one product
-    each over those steps in row-major order, so the rows get the bits
-    they would get run and walked back alone."""
-    at = _walked(tape).index[steps]
-    dz = tape.gates[at]
-    x_in = tape.x_in[tape.x_index[steps]]
-    return LstmParams(w=dz.T @ tape.h_in[at], u=dz.T @ x_in, b=dz.sum(axis=0))
-
-
-def input_gradients(
-    params: LstmParams, tape: LstmTape, bounds: list[int]
-) -> np.ndarray:
-    """Input gradients of every step of a walked run, row after row.  The
-    steps between each two consecutive `bounds` (0 first, the run's steps
-    last, whole rows between) take one product over their own steps
-    alone, so they get the bits of their rows walked back alone.  An input
-    mask the caller took is the caller's to take of them too."""
+def param_gradients(tape: LstmTape) -> LstmParams:
+    """Parameter gradients of a walked run, summed over all its rows:
+    dW and db by one product and one sum over the packed steps, and dU by
+    one product over the input rows that the steps read, each row's dz
+    summed first, so an input row read by many steps is multiplied once."""
     gates = _walked(tape).gates
-    d_x = np.empty((bounds[-1], params.d_in), dtype=params.u.dtype)
-    for lo, hi in zip(bounds, bounds[1:]):
-        np.matmul(gates[tape.index[lo:hi]], params.u, out=d_x[lo:hi])
-    return d_x
+    x_rows = np.empty_like(tape.x_index)  # the input row of each packed step
+    x_rows[tape.index] = tape.x_index
+    by_row = np.argsort(x_rows, kind="stable")
+    x_rows = x_rows[by_row]
+    first = np.flatnonzero(np.diff(x_rows, prepend=-1))  # each row's first step
+    dz_rows = np.add.reduceat(gates[by_row], first)
+    return LstmParams(
+        w=gates.T @ tape.h_in,
+        u=dz_rows.T @ tape.x_in[x_rows[first]],
+        b=gates.sum(axis=0),
+    )
+
+
+def input_gradients(params: LstmParams, tape: LstmTape) -> np.ndarray:
+    """Input gradients of every step of a walked run, row after row, by
+    one product over the packed steps.  An input mask the caller took is
+    the caller's to take of them too."""
+    return (_walked(tape).gates @ params.u)[tape.index]
 
 
 def lstm_backward_dz(
@@ -397,7 +376,7 @@ def lstm_backward_dz(
     ValueError.  The walk goes back over the forward's live prefixes, so a
     row's upstream gradients wait unchanged until its last step is
     reached; each step's local derivatives are taken at the step, and
-    dL/dh goes back through W^T with one gemv per row.
+    dL/dh goes back through W^T by one GEMM over the step's rows.
     """
     if tape.x_in.shape[1] != params.d_in or tape.h_in.shape[1] != params.d_out:
         raise ShapeError(
@@ -417,7 +396,6 @@ def lstm_backward_dz(
     dh = np.asarray(d_h_final, dtype=params.w.dtype)[order]
     dc = np.asarray(d_c_final, dtype=params.w.dtype)[order]
     rec_m = tape.rec_mask
-    w_t = params.w.T
 
     for t in range(len(live) - 1, -1, -1):
         k, end = live[t], ends[t]
@@ -435,7 +413,7 @@ def lstm_backward_dz(
         np.multiply(dc_t, d_zc, out=c_tilde)
         np.multiply(dc_t, f, out=dc[:k])
         np.multiply(dc_t, c_prev * f * (1.0 - f), out=f)
-        _gemv(w_t, g, out=dh[:k])
+        np.matmul(g, params.w, out=dh[:k])
         if rec_m is not None:
             dh[:k] *= rec_m[:k]
 

@@ -251,9 +251,8 @@ def batch_gradients(
     the two documents of one pair share an owner.  Fresh dropout masks
     are drawn for each document, known before unknown, pair by pair.  One
     taped pass encodes the 2B documents for both terms, and one backward
-    walk per level serves each document's summed upstream gradient.  The
-    gradients are summed known plus unknown, then into the total, pair by
-    pair, so a step holds the batch's tapes but two documents' gradients.
+    walk per level serves each document's summed upstream gradient and
+    sums the parameter gradients over the batch.
     With weight 0 this is the mean over the batch of each pair's
     contrastive loss and of the sum of its two branch gradients.  Without
     `config.learn_scale` the scale's gradient is 0.
@@ -284,11 +283,7 @@ def batch_gradients(
         cross_grad *= n * config.in_batch_weight
         upstream += cross_grad
 
-    total = EncoderParams.zeros(*dims)
-    grads = document_gradients(params, tape, upstream)
-    for known in grads:  # each pair's known side, then its unknown side
-        known.add_(next(grads))
-        total.add_(known)
+    (total,) = document_gradients(params, tape, upstream)
     if not config.learn_scale:
         total.scale[0] = 0.0  # a zero step: the scale stays at 1.0
     mean_loss = loss_sum / n + config.in_batch_weight * cross_loss

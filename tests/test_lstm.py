@@ -5,7 +5,6 @@ from authverify.gradcheck import check_lstm_config, compare_grads, numeric_gradi
 from authverify.lstm import (
     LstmParams,
     LstmState,
-    _gemv,
     lstm_run,
     lstm_run_backward,
     param_gradients,
@@ -227,7 +226,7 @@ class TestLstmBackward:
         p = LstmParams.init_uniform(3, 2, -0.5, 0.5, rng)
         _, tape = lstm_run(p, rng.normal(size=(5, 3)), [3, 2], record=True)
         with pytest.raises(ValueError, match="walked"):
-            param_gradients(tape, slice(0, 2))
+            param_gradients(tape)
         dh, dc = rng.normal(size=(2, 2, 2))
         lstm_run_backward(p, tape, dh, dc)
         with pytest.raises(ValueError, match="walked back already"):
@@ -241,29 +240,6 @@ class TestLstmBackward:
             steps = int(rng.integers(1, 6))
             report = check_lstm_config(d_in, d_out, steps, int(rng.integers(1 << 30)))
             assert report.ok, report.failures[:5]
-
-
-class TestStackedGemv:
-    """The premise of the taped run: `_gemv`'s stacked matmul makes one
-    gemv call per vector, so it gives each vector the bits of `a @ r`
-    computed alone.  A numpy or BLAS upgrade that breaks this would move
-    trained weights."""
-
-    @pytest.mark.parametrize("d_in,d_out", [(20, 10), (10, 5), (300, 150), (150, 75)])
-    def test_matches_one_product_per_row(self, d_in, d_out):
-        rng = make_rng(d_in)
-        p = LstmParams.init_uniform(d_in, d_out, -0.05, 0.05, rng)
-        for a in (p.w, p.u, p.w.T):
-            rows = rng.normal(size=(6, 5, a.shape[1]))
-            one_by_one = np.array([[a @ r for r in block] for block in rows])
-            assert np.array_equal(_gemv(a, rows), one_by_one)
-            # one step of every row, a strided view as in the run's loop
-            step = _gemv(a, rows[:, 2])
-            assert np.array_equal(step, np.array([a @ r for r in rows[:, 2]]))
-            # written into a block of a larger array, as the run writes its tape
-            tape = np.zeros((9, a.shape[0]))
-            _gemv(a, rows[:, 2], out=tape[2:8])
-            assert np.array_equal(tape[2:8], step)
 
 
 class TestBatchedRun:
@@ -308,12 +284,14 @@ class TestBatchedRun:
                 rec_mask=None if rec_mask is None else rec_mask[r : r + 1],
                 record=True,
             )
-            np.testing.assert_array_equal(final.h[r], one_final.h[0])
-            np.testing.assert_array_equal(final.c[r], one_final.c[0])
-            np.testing.assert_array_equal(h_in[start:stop], one.h_in)
-            np.testing.assert_array_equal(gates[start:stop], one.gates)
-            np.testing.assert_array_equal(c0[r], one.c0[0])
-            np.testing.assert_array_equal(cs[start:stop], one.c)
+            # a run's GEMMs may round a row differently with other rows
+            close = dict(rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(final.h[r], one_final.h[0], **close)
+            np.testing.assert_allclose(final.c[r], one_final.c[0], **close)
+            np.testing.assert_allclose(h_in[start:stop], one.h_in, **close)
+            np.testing.assert_allclose(gates[start:stop], one.gates, **close)
+            np.testing.assert_allclose(c0[r], one.c0[0], **close)
+            np.testing.assert_allclose(cs[start:stop], one.c, **close)
 
             g, one_in, one_dh0, one_dc0 = lstm_run_backward(
                 p, one, dh[r : r + 1], dc[r : r + 1]

@@ -5,20 +5,13 @@ Prints one JSON line of sha256 digests:
 
 - `fit`: criterion 6's corpus and first split, trained with
   `bench_config(7).updated(max_epochs=3)`;
-- `fit_paper_loss`: the same with `in_batch_weight=0, max_epochs=2`;
+- `fit_paper_loss`: the same with the paper's recipe,
+  `in_batch_weight=0, learn_scale=False, max_epochs=2`;
 - `fit_paper_dims`: one epoch under `TrainConfig()` (the paper dims,
   300/150/75, dropout 0.3, so every document has its own masks) on the
   first split of a 20-instance 300-d corpus of ten-sentence documents,
   one known text each: 16 pairs in one batch, 2 dev pairs, the shape
-  of perfbench's train-paper workload.  On 8 pairs (16 documents) of
-  the same corpus, the script also checks that `batch_gradients` under
-  `TrainConfig()` (dropout 0.3, in-batch weight 8), with initial weights
-  drawn from [-0.2, 0.2) so that most pairs and cross pairs lie between
-  tau1 and tau2, gives the loss and gradient bytes of
-  `per_document_gradients` from `tests/test_train.py`, which encodes and
-  walks back each document alone; it exits non-zero on any mismatch.
-  The tests make that comparison only at 3/2/2 dims, where BLAS may
-  take other kernels;
+  of perfbench's train-paper workload;
 - `cv`: criterion 7's `cross_validate` report (its corpus,
   `bench_config().updated(max_epochs=2, patience=2)`, seed 42,
   `threads=1`) with its `config` object removed; `cv_config_keys` lists that
@@ -43,12 +36,12 @@ A fit digest covers the parameter bytes, the training log without its
 `seconds` timings, `best_epoch`, `best_dev_accuracy` and `dev_distances`.
 Each fit config also prints a `<name>_training` digest of what training
 alone decides: the parameter bytes, each epoch's `train_loss`,
-`grad_norm_mean` and `dev_accuracy`, and `best_epoch`.  Taped runs, and so
-training, keep each document's lone bits, while the tape-free runs that
-score dev and test pairs may round a distance differently with the other
-documents of a call; a change to the tape-free runs alone moves the
-digests that hash distances (`fit`, `fit_paper_*`, `cv`, `verify`) and
-keeps the `_training` ones.
+`grad_norm_mean` and `dev_accuracy`, and `best_epoch`.  Training and the
+tape-free runs that score dev and test pairs both take GEMMs, whose
+last bits can depend on the other documents of a call, so the batch a
+document is trained or scored in is part of what the digests cover.  A
+change to the tape-free runs alone moves the digests that hash distances
+(`fit`, `fit_paper_*`, `cv`, `verify`) and keeps the `_training` ones.
 The configs come from `tests/test_acceptance.py`, so the two cannot drift.
 
 Run it against any source tree and compare the lines:
@@ -85,7 +78,6 @@ except ModuleNotFoundError:
 print(f"digesting {os.path.realpath(authverify.__file__)}", file=sys.stderr)
 
 from test_acceptance import bench_config, fuzz_documents  # noqa: E402
-from test_train import per_document_gradients  # noqa: E402
 
 import authverify as av  # noqa: E402
 from authverify.synthetic import (  # noqa: E402
@@ -139,21 +131,6 @@ def fit_digests(instances, table, config) -> tuple[str, str]:
     return full.hexdigest(), training.hexdigest()
 
 
-def check_per_document(instances, table) -> None:
-    config = av.TrainConfig(init_lo=-0.2, init_hi=0.2)
-    pairs = [av.encode_instance(x, table, config) for x in instances[:8]]
-    params = av.init_encoder_params(
-        config.d_w, config.d_s, config.d_d, config.init_lo, config.init_hi,
-        rng=av.make_rng(0),
-    )
-    loss, grads = av.batch_gradients(params, pairs, config, av.make_rng(1))
-    ref_loss, ref = per_document_gradients(params, pairs, config, av.make_rng(1))
-    if loss != ref_loss or any(
-        a.tobytes() != ref.arrays()[k].tobytes() for k, a in grads.arrays().items()
-    ):
-        sys.exit("batch_gradients differs from per-document passes at the paper dims")
-
-
 def pipeline_digest(instances, table) -> str:
     texts = fuzz_documents(1000)
     for x in instances:
@@ -203,7 +180,8 @@ def main() -> None:
         out = {"pipeline": pipeline_digest(instances, table)}
         out["fit"], out["fit_training"] = fit_digests(instances, table, config)
         out["fit_paper_loss"], out["fit_paper_loss_training"] = fit_digests(
-            instances, table, config.updated(in_batch_weight=0.0, max_epochs=2)
+            instances, table,
+            config.updated(in_batch_weight=0.0, learn_scale=False, max_epochs=2),
         )
         instances, table = load_table(tmp, SyntheticSpec(
             emb_dim=300, n_instances=20, min_sentences=10, max_sentences=10,
@@ -212,7 +190,6 @@ def main() -> None:
         out["fit_paper_dims"], out["fit_paper_dims_training"] = fit_digests(
             instances, table, av.TrainConfig(max_epochs=1, patience=1)
         )
-        check_per_document(instances, table)
         instances, table = load_table(tmp, SyntheticSpec(n_instances=120), seed=11)
         cv_config = bench_config().updated(max_epochs=2, patience=2, seed=42)
         report = av.cross_validate(instances, table, cv_config, k=10, threads=1)
