@@ -182,11 +182,12 @@ def check_pipeline_config(
     every parameter checked, the output scale at `scale`.
 
     The pair takes training's path: one taped `encode_documents` call and
-    one `document_gradients` walk, which sums the two documents' gradients.  Thresholds are set from the pair's
-    actual embedding distance (tau1 = d/2, tau2 = 2d) so both labels land
-    deep in the curved region of the loss, far from the kinks finite
-    differences must avoid.  A scale other than 1 checks that level 2 is
-    walked back from s * dL/dx.
+    one `document_gradients` walk, which sums the two documents'
+    gradients.  Thresholds are set from the pair's actual embedding
+    distance (tau1 = d/2, tau2 = 2d) so both labels land deep in the
+    curved region of the loss, far from the kinks finite differences must
+    avoid.  A scale other than 1 checks that level 2 is walked back from
+    s * dL/dx.
     """
     rng = make_rng(seed)
     params = EncoderParams(

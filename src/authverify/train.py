@@ -157,18 +157,17 @@ class TrainConfig:
                     f"retired config field {name!r} only takes {kept!r}, "
                     f"got {value!r}"
                 )
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
+        types = {f.name: f.type for f in fields(cls)}
+        unknown = set(d) - set(types)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for f in fields(cls):
-            value = d.get(f.name)
-            if f.name in d and (
-                isinstance(value, bool) != (f.type == "bool")
-                or not isinstance(value, FIELD_TYPES[f.type])
+        for name, value in d.items():
+            # bool is an int subclass: a bool passes for no other type
+            if isinstance(value, bool) != (types[name] == "bool") or not isinstance(
+                value, FIELD_TYPES[types[name]]
             ):
                 raise ValueError(
-                    f"config field {f.name!r} must be of type {f.type}, got {value!r}"
+                    f"config field {name!r} must be of type {types[name]}, got {value!r}"
                 )
         return cls(**d)
 
