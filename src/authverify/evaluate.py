@@ -143,6 +143,8 @@ def load_checkpoint(path: str) -> tuple[EncoderParams, TrainConfig]:
         with np.load(path, allow_pickle=False) as archive:
             config_json = str(archive["config_json"])
             a = {key: archive[key] for key in CHECKPOINT_ARRAYS}
+    # ValueError: not numpy's format; TypeError: an .npy array, no archive;
+    # KeyError: an array missing; EOFError: empty; BadZipFile: a broken zip
     except (ValueError, TypeError, KeyError, EOFError, zipfile.BadZipFile) as exc:
         raise CheckpointError(f"not a checkpoint: {exc}") from None
     config = TrainConfig.from_dict(json.loads(config_json))

@@ -1,3 +1,4 @@
+import io
 import json
 import multiprocessing
 import os
@@ -67,6 +68,13 @@ class TestConfusionMetrics:
             ConfusionCounts(tp=-1, fp=0, tn=0, fn=0)
 
 
+def npy_bytes():
+    """An array in numpy's .npy format: a numpy file, but no archive."""
+    buf = io.BytesIO()
+    np.save(buf, np.ones(3))
+    return buf.getvalue()
+
+
 class TestCheckpoint:
     def test_round_trip_value_exact(self, tmp_path):
         rng = make_rng(3)
@@ -97,7 +105,9 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="scale"):
             load_checkpoint(str(path))
 
-    @pytest.mark.parametrize("content", [b"hello", b"", b"PK\x03\x04 not a zip"])
+    @pytest.mark.parametrize(
+        "content", [b"hello", b"", b"PK\x03\x04 not a zip", npy_bytes()]
+    )
     def test_file_that_is_not_a_checkpoint_rejected(self, tmp_path, content):
         path = tmp_path / "model.npz"
         path.write_bytes(content)
