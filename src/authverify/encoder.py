@@ -265,10 +265,11 @@ def document_gradients(
 
     The scale's gradient is sum_j d_x[j] . h_T[j], and level 2 is walked
     back from s * d_x.  Each level is walked back once for all documents,
-    spending the tapes, and takes one product per parameter array; level
-    2's input gradients, times its input mask, are the upstream
-    hidden-state gradients of level 1's sentence rows (word vectors are
-    pretrained, so get none).  Other dimensions raise ShapeError.
+    using up the tapes (see `LstmTape`), and takes one product per
+    parameter array; level 2's input gradients, times its input mask, are
+    the upstream hidden-state gradients of level 1's sentence rows (word
+    vectors are pretrained, so get none).  Other dimensions raise
+    ShapeError.
     """
     level1, level2 = tape.level1_tape, tape.level2_tape
     d_h = d_x * params.scale

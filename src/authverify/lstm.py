@@ -24,7 +24,8 @@ before the first step, W h for the running rows at each step, each by
 one GEMM (`_gemm`).  `lstm_backward_dz` walks the rows back together,
 one GEMM per step, and leaves each step's dz in the tape, from which
 `param_gradients` and `input_gradients` take one product each over the
-whole run.  The same run on the same host gives the same bytes, but a
+whole run; `param_gradients` sums dz per input row in the tape's `h_in`,
+which it no longer needs, so the backward pass adds no tape-sized array.  The same run on the same host gives the same bytes, but a
 row's last bits depend on the other rows of its run, since a GEMM's
 rounding can depend on its shape, and on the BLAS library, its thread
 count and the CPU kernels it picks.
@@ -183,6 +184,12 @@ class LstmTape:
     `x_index` the row of `x_in`, the input rows, that it read.
     tanh of the memory state is recomputed in the backward pass, so a
     step stores 6 * d_out floats per row.
+
+    A tape is used up in two stages, and holds no copy of itself: the
+    backward walk writes dz over `gates` (`spent`), and `param_gradients`
+    then sums dz per input row in the storage of `h_in` (`consumed`).
+    Reading `h_in` after that, or walking or summing a second time,
+    raises ValueError; `input_gradients` reads only dz, so may follow.
     """
 
     lengths: np.ndarray  # (R,) real steps of each row
@@ -191,12 +198,21 @@ class LstmTape:
     index: np.ndarray = field(repr=False)  # (tokens,) packed place of each input step
     x_in: np.ndarray = field(repr=False)  # (n, d_in): the rows of xs
     x_index: np.ndarray = field(repr=False)  # (tokens,) x_in row of each input step
-    h_in: np.ndarray = field(repr=False)  # (tokens, d_out), masked, packed
+    _h_in: np.ndarray = field(repr=False)  # (tokens, d_out), masked, packed
     gates: np.ndarray = field(repr=False)  # (tokens, 4*d_out): f, i, o, c~, packed
     c: np.ndarray = field(repr=False)  # (tokens, d_out): c after each step, packed
     c0: np.ndarray = field(repr=False)  # (R, d_out): the initial c, stepping order
     rec_mask: np.ndarray | None = None  # (R, d_out), stepping order
     spent: bool = False  # walked back: `gates` holds dz
+    consumed: bool = False  # parameter gradients taken: `h_in` holds scratch
+
+    @property
+    def h_in(self) -> np.ndarray:
+        if self.consumed:
+            raise ValueError(
+                "param_gradients used this tape's h_in as scratch: record the run again"
+            )
+        return self._h_in
 
 
 def _gemm(a: np.ndarray, rows: np.ndarray, out: np.ndarray | None = None):
@@ -324,7 +340,7 @@ def lstm_run_backward(
     Given dL/dh_final and dL/dc_final, each (R, d_out), returns
     (parameter gradients as an LstmParams-shaped container, input
     gradients of shape (sum(lengths), d_in), row after row like the run's
-    input, dL/dh_0, dL/dc_0).  The tape is spent (see `lstm_backward_dz`).
+    input, dL/dh_0, dL/dc_0).  The tape is used up (see `LstmTape`).
     """
     dh, dc = lstm_backward_dz(params, tape, d_h_final, d_c_final)
     return param_gradients(tape), input_gradients(params, tape), dh, dc
@@ -340,16 +356,32 @@ def param_gradients(tape: LstmTape) -> LstmParams:
     """Parameter gradients of a walked run, summed over all its rows:
     dW and db by one product and one sum over the packed steps, and dU by
     one product over the input rows that the steps read, each row's dz
-    summed first, so an input row read by many steps is multiplied once."""
-    gates = _walked(tape).gates
+    summed first, so an input row read by many steps is multiplied once.
+
+    Once dW is taken, `h_in` is scratch: each gate block of dz is
+    gathered there in input-row order and summed per row, so no
+    tape-sized array is made.  The tape is then consumed (see `LstmTape`).
+    """
+    h_in = _walked(tape).h_in
+    tape.consumed = True
+    gates = tape.gates
     x_rows = np.empty_like(tape.x_index)  # the input row of each packed step
     x_rows[tape.index] = tape.x_index
     by_row = np.argsort(x_rows, kind="stable")
     x_rows = x_rows[by_row]
     first = np.flatnonzero(np.diff(x_rows, prepend=-1))  # each row's first step
-    dz_rows = np.add.reduceat(gates[by_row], first)
+    w = gates.T @ h_in
+    d = h_in.shape[1]
+    dz_rows = np.empty((len(first), 4 * d), dtype=gates.dtype)
+    blocks = gates.reshape(-1, d)  # row 4 j + k: gate block k of packed step j
+    for k in range(4):
+        # every index is a row of `blocks`, so "clip" clips nothing; unlike
+        # "raise", it lets take write straight into `out`, and a contiguous
+        # source is read without a copy
+        np.take(blocks, 4 * by_row + k, axis=0, out=h_in, mode="clip")
+        np.add.reduceat(h_in, first, out=dz_rows[:, k * d : (k + 1) * d])
     return LstmParams(
-        w=gates.T @ tape.h_in,
+        w=w,
         u=dz_rows.T @ tape.x_in[x_rows[first]],
         b=gates.sum(axis=0),
     )
@@ -378,9 +410,9 @@ def lstm_backward_dz(
     reached; each step's local derivatives are taken at the step, and
     dL/dh goes back through W^T by one GEMM over the step's rows.
     """
-    if tape.x_in.shape[1] != params.d_in or tape.h_in.shape[1] != params.d_out:
+    if tape.x_in.shape[1] != params.d_in or tape.c0.shape[1] != params.d_out:
         raise ShapeError(
-            f"tape dims ({tape.x_in.shape[1]}, {tape.h_in.shape[1]}) do not match "
+            f"tape dims ({tape.x_in.shape[1]}, {tape.c0.shape[1]}) do not match "
             f"params ({params.d_in}, {params.d_out})"
         )
     shape = (len(tape.lengths), params.d_out)

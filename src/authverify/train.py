@@ -177,7 +177,8 @@ class TrainConfig:
 
 @dataclass
 class AdadeltaState:
-    """Per-parameter running averages E[g^2] and E[dx^2], zero-initialized."""
+    """Per-parameter running averages E[g^2] and E[dx^2], zero-initialized
+    and advanced in place by `adadelta_update`."""
 
     sq_grad_avg: dict[str, np.ndarray]
     sq_update_avg: dict[str, np.ndarray]
@@ -197,35 +198,51 @@ def adadelta_update(
     rho: float = 0.95,
     eps: float = 1e-6,
 ) -> tuple[dict[str, np.ndarray], AdadeltaState]:
-    """One Adadelta step; returns (applied deltas, advanced state).
+    """One Adadelta step; returns (applied deltas, `state`), the state
+    advanced in place.
 
     E[g^2] <- rho E[g^2] + (1-rho) g^2
     dx      = -sqrt(E[dx^2] + eps) / sqrt(E[g^2] + eps) * g
     E[dx^2] <- rho E[dx^2] + (1-rho) dx^2
     applied = lr * dx
+
+    Each parameter takes one scratch array besides its delta, and every
+    product and sum is the one of the formulas above, in their order, so
+    the bits are those of the out-of-place expressions.
     """
     if set(state.sq_grad_avg) != set(grads):
         raise ShapeError(
             f"state keys {sorted(state.sq_grad_avg)} do not match "
             f"gradient keys {sorted(grads)}"
         )
+    for key, g in grads.items():
+        if state.sq_grad_avg[key].shape != g.shape:
+            raise ShapeError(
+                f"gradient {key} shape {g.shape} does not match state "
+                f"{state.sq_grad_avg[key].shape}"
+            )
     deltas: dict[str, np.ndarray] = {}
-    new_eg2: dict[str, np.ndarray] = {}
-    new_edx2: dict[str, np.ndarray] = {}
     for key, g in grads.items():
         eg2 = state.sq_grad_avg[key]
         edx2 = state.sq_update_avg[key]
-        if eg2.shape != g.shape:
-            raise ShapeError(
-                f"gradient {key} shape {g.shape} does not match state {eg2.shape}"
-            )
-        eg2 = rho * eg2 + (1.0 - rho) * g * g
-        dx = -np.sqrt(edx2 + eps) / np.sqrt(eg2 + eps) * g
-        edx2 = rho * edx2 + (1.0 - rho) * dx * dx
-        new_eg2[key] = eg2
-        new_edx2[key] = edx2
-        deltas[key] = lr * dx
-    return deltas, AdadeltaState(new_eg2, new_edx2)
+        scratch = np.multiply(1.0 - rho, g)
+        scratch *= g
+        eg2 *= rho
+        eg2 += scratch
+        dx = np.add(edx2, eps)
+        np.sqrt(dx, out=dx)
+        np.negative(dx, out=dx)
+        np.add(eg2, eps, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        dx /= scratch
+        dx *= g
+        np.multiply(1.0 - rho, dx, out=scratch)
+        scratch *= dx
+        edx2 *= rho
+        edx2 += scratch
+        dx *= lr
+        deltas[key] = dx
+    return deltas, state
 
 
 class EncodedPair(NamedTuple):
@@ -300,11 +317,11 @@ def train_step(
     config: TrainConfig,
     rng: np.random.Generator,
 ) -> tuple[float, float, AdadeltaState]:
-    """One mini-batch update; mutates `params` in place.
+    """One mini-batch update; mutates `params` and `opt_state` in place.
 
     The `batch_gradients` gradient is clipped by global norm and applied
-    through Adadelta.  Returns (batch loss, pre-clip gradient norm, new
-    state).
+    through Adadelta.  The batch's tapes are used up by its one backward
+    pass.  Returns (batch loss, pre-clip gradient norm, `opt_state`).
     """
     mean_loss, grads = batch_gradients(params, batch, config, rng)
     grad_arrays = grads.arrays()
@@ -313,14 +330,14 @@ def train_step(
         [grad_arrays[k] for k in keys], config.clip_norm
     )
     grads_dict = dict(zip(keys, clipped))
-    deltas, new_state = adadelta_update(
+    deltas, opt_state = adadelta_update(
         opt_state, grads_dict, config.adadelta_lr, config.adadelta_rho,
         config.adadelta_eps,
     )
     param_arrays = params.arrays()
     for key in keys:
         param_arrays[key] += deltas[key]
-    return mean_loss, grad_norm, new_state
+    return mean_loss, grad_norm, opt_state
 
 
 def augment_epoch(known: list[list], rng: np.random.Generator) -> list[list]:

@@ -1,6 +1,13 @@
 import os
 import sys
 
+# One BLAS thread, set before numpy loads, as tools/fit_digest.py and
+# tools/sweep.py do: training's bits depend on the BLAS thread count, so
+# without the pin a host's CPU count would choose which fit the suite
+# trains, and not the one the sweeps rank.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 import numpy as np
 import pytest
 

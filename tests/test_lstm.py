@@ -5,6 +5,8 @@ from authverify.gradcheck import check_lstm_config, compare_grads, numeric_gradi
 from authverify.lstm import (
     LstmParams,
     LstmState,
+    input_gradients,
+    lstm_backward_dz,
     lstm_run,
     lstm_run_backward,
     param_gradients,
@@ -231,6 +233,27 @@ class TestLstmBackward:
         lstm_run_backward(p, tape, dh, dc)
         with pytest.raises(ValueError, match="walked back already"):
             lstm_run_backward(p, tape, dh, dc)
+
+    def test_consumed_tape_refuses_a_second_sum(self, rng):
+        # param_gradients sums dz in the storage of h_in, so a second sum
+        # or a later read of h_in, which would read that scratch, raises;
+        # dz itself is left as the walk wrote it
+        p = LstmParams.init_uniform(3, 2, -0.5, 0.5, rng)
+        xs, x_index = rng.normal(size=(3, 3)), np.array([0, 1, 0, 2, 0])
+        dh, dc = rng.normal(size=(2, 2, 2))
+        tapes = [lstm_run(p, xs, [3, 2], record=True, x_index=x_index)[1]
+                 for _ in range(2)]
+        for tape in tapes:
+            lstm_backward_dz(p, tape, dh, dc)
+        consumed, fresh = tapes
+        param_gradients(consumed)
+        with pytest.raises(ValueError, match="scratch"):
+            param_gradients(consumed)
+        with pytest.raises(ValueError, match="scratch"):
+            consumed.h_in
+        np.testing.assert_array_equal(
+            input_gradients(p, consumed), input_gradients(p, fresh)
+        )
 
     def test_random_configs_against_finite_differences(self):
         rng = make_rng(2024)

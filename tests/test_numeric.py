@@ -1,3 +1,5 @@
+import ctypes
+
 import numpy as np
 import pytest
 
@@ -96,3 +98,32 @@ class TestRng:
         assert not np.array_equal(
             make_rng(1).uniform(size=10), make_rng(2).uniform(size=10)
         )
+
+
+def openblas_threads():
+    """Thread count of the OpenBLAS this process loaded, or None when no
+    OpenBLAS is mapped or it exports no thread-count function."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return None
+    for path in sorted(libs):
+        lib = ctypes.CDLL(path)
+        for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                    "openblas_get_num_threads"):
+            fn = getattr(lib, sym, None)
+            if fn is not None:
+                fn.restype = ctypes.c_int
+                fn.argtypes = []
+                return int(fn())
+    return None
+
+
+def test_suite_runs_blas_on_one_thread():
+    # conftest pins the thread count before numpy loads; training's bits,
+    # and so the acceptance fits, depend on it
+    threads = openblas_threads()
+    if threads is None:
+        pytest.skip("the loaded BLAS is not OpenBLAS")
+    assert threads == 1

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from authverify.preprocess import (
     join_encoded,
 )
 from authverify.preprocess import encode_document as encode_text
+from authverify.synthetic import SyntheticSpec, generate_corpus
 from authverify.siamese import (
     Thresholds,
     contrastive_loss,
@@ -280,6 +282,27 @@ class TestAdadelta:
         half, _ = adadelta_update(state, grads, lr=0.5)
         assert half["p"][0] == pytest.approx(0.5 * full["p"][0])
 
+    def test_in_place_update_matches_textbook_bitwise(self):
+        # the state advances in place, and its bits and the deltas' are
+        # those of the out-of-place formulas, over steps that feed back
+        rng = make_rng(17)
+        shapes = {"w": (4, 3), "b": (4,)}
+        state = AdadeltaState.zeros_like({k: np.zeros(s) for k, s in shapes.items()})
+        eg2 = {k: np.zeros(s) for k, s in shapes.items()}
+        edx2 = {k: np.zeros(s) for k, s in shapes.items()}
+        lr, rho, eps = 0.7, 0.9, 1e-6
+        for _ in range(3):
+            grads = {k: rng.normal(size=s) for k, s in shapes.items()}
+            deltas, returned = adadelta_update(state, grads, lr, rho, eps)
+            assert returned is state
+            for k, g in grads.items():
+                eg2[k] = rho * eg2[k] + (1.0 - rho) * g * g
+                dx = -np.sqrt(edx2[k] + eps) / np.sqrt(eg2[k] + eps) * g
+                edx2[k] = rho * edx2[k] + (1.0 - rho) * dx * dx
+                assert deltas[k].tobytes() == (lr * dx).tobytes(), k
+                assert state.sq_grad_avg[k].tobytes() == eg2[k].tobytes(), k
+                assert state.sq_update_avg[k].tobytes() == edx2[k].tobytes(), k
+
     def test_shape_mismatch_rejected(self):
         state = AdadeltaState.zeros_like({"p": np.zeros(3)})
         with pytest.raises(Exception):
@@ -454,6 +477,32 @@ class TestBatchGradients:
         )[0]
         for name, a in grads.arrays().items():
             np.testing.assert_allclose(a, ref.arrays()[name], err_msg=name, **close)
+
+
+class TestTrainingMemory:
+    def test_backward_pass_adds_no_tape_sized_array(self):
+        # a batch of 32 synthetic pairs at the bench dims (20/10/5, 12 x 15),
+        # the default dropout: the backward pass works in the tapes' own
+        # memory, so its peak stays below the level-1 tape's gates alone
+        config = TrainConfig(d_w=20, d_s=10, d_d=5, max_words=12, max_sentences=15)
+        instances, words, emb = generate_corpus(SyntheticSpec(n_instances=32), seed=0)
+        table = EmbeddingTable(config.d_w, dict(zip(words, emb)))
+        docs = [doc for inst in instances
+                for doc in encode_instance(inst, table, config)[:2]]
+        rng = make_rng(0)
+        dims = (config.d_w, config.d_s, config.d_d)
+        params = init_encoder_params(*dims, rng=rng)
+        masks = sample_dropout_masks(dims, config.dropout_rate, rng, len(docs))
+        x, tape = encode_documents(params, docs, masks, record=True)
+        upstream = rng.normal(size=x.shape)
+        gates_nbytes = tape.level1_tape.gates.nbytes
+        tracemalloc.start()
+        try:
+            document_gradients(params, tape, upstream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < gates_nbytes, (peak, gates_nbytes)
 
 
 class TestTapeFreeRuns:
