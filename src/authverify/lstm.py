@@ -25,10 +25,11 @@ one GEMM (`_gemm`).  `lstm_backward_dz` walks the rows back together,
 one GEMM per step, and leaves each step's dz in the tape, from which
 `param_gradients` and `input_gradients` take one product each over the
 whole run; `param_gradients` sums dz per input row in the tape's `h_in`,
-which it no longer needs, so the backward pass adds no tape-sized array.  The same run on the same host gives the same bytes, but a
-row's last bits depend on the other rows of its run, since a GEMM's
-rounding can depend on its shape, and on the BLAS library, its thread
-count and the CPU kernels it picks.
+which it no longer needs, so the backward pass adds no tape-sized
+array.  The same run on the same host gives the same bytes, but a row's
+last bits depend on the other rows of its run, since a GEMM's rounding
+can depend on its shape, and on the BLAS library, its thread count and
+the CPU kernels it picks.
 
 Live prefixes
 -------------

@@ -215,7 +215,7 @@ def adadelta_update(
             f"state keys {sorted(state.sq_grad_avg)} do not match "
             f"gradient keys {sorted(grads)}"
         )
-    for key, g in grads.items():
+    for key, g in grads.items():  # all checked before any state moves
         if state.sq_grad_avg[key].shape != g.shape:
             raise ShapeError(
                 f"gradient {key} shape {g.shape} does not match state "
@@ -225,18 +225,18 @@ def adadelta_update(
     for key, g in grads.items():
         eg2 = state.sq_grad_avg[key]
         edx2 = state.sq_update_avg[key]
-        scratch = np.multiply(1.0 - rho, g)
+        scratch = np.multiply(1.0 - rho, g)  # E[g^2]
         scratch *= g
         eg2 *= rho
         eg2 += scratch
-        dx = np.add(edx2, eps)
+        dx = np.add(edx2, eps)  # dx
         np.sqrt(dx, out=dx)
         np.negative(dx, out=dx)
         np.add(eg2, eps, out=scratch)
         np.sqrt(scratch, out=scratch)
         dx /= scratch
         dx *= g
-        np.multiply(1.0 - rho, dx, out=scratch)
+        np.multiply(1.0 - rho, dx, out=scratch)  # E[dx^2]
         scratch *= dx
         edx2 *= rho
         edx2 += scratch

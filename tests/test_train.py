@@ -18,7 +18,7 @@ from authverify.encoder import (
 from authverify.evaluate import Model, cross_validate, verify_pair
 from authverify.gradcheck import compare_grads, numeric_gradient
 from authverify.lstm import LstmParams
-from authverify.numeric import clip_by_global_norm, make_rng
+from authverify.numeric import ShapeError, clip_by_global_norm, make_rng
 from authverify.preprocess import (
     EmptyDocumentError,
     EncodedDocument,
@@ -26,7 +26,6 @@ from authverify.preprocess import (
     join_encoded,
 )
 from authverify.preprocess import encode_document as encode_text
-from authverify.synthetic import SyntheticSpec, generate_corpus
 from authverify.siamese import (
     Thresholds,
     contrastive_loss,
@@ -34,6 +33,7 @@ from authverify.siamese import (
     distance,
     in_batch_negative_loss,
 )
+from authverify.synthetic import SyntheticSpec, generate_corpus
 from authverify.train import (
     AdadeltaState,
     EncodedPair,
@@ -309,6 +309,14 @@ class TestAdadelta:
             adadelta_update(state, {"p": np.zeros(4)})
         with pytest.raises(Exception):
             adadelta_update(state, {"q": np.zeros(3)})
+
+    def test_rejected_update_leaves_the_state_untouched(self):
+        # the state moves in place, so every shape is checked first
+        state = AdadeltaState.zeros_like({"a": np.zeros(3), "b": np.zeros(2)})
+        with pytest.raises(ShapeError):
+            adadelta_update(state, {"a": np.ones(3), "b": np.ones(4)})
+        for avg in (state.sq_grad_avg, state.sq_update_avg):
+            assert not any(a.any() for a in avg.values())
 
 
 class TestPairGradients:
