@@ -9,9 +9,10 @@ All randomness flows from `--seed`; `train` draws its split and its fit
 from two independent `SeedSequence` children of it.  Report output
 carries no timestamps, so two runs with the same seed write identical
 bytes.  An input the program rejects where it reads it (a config, an
-embedding file, a corpus, a checkpoint, a text with no sentence), an
-input file that does not exist, or a corpus too small for its split is a
-usage error of the subcommand: exit status 2.
+embedding file, a corpus, a checkpoint, a text with no sentence, a text
+file that is not UTF-8), an input file that does not exist, or a corpus
+too small for its split is a usage error of the subcommand: exit status
+2.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ def _load_config(args) -> TrainConfig:
         with open(args.config, encoding="utf-8") as fh:
             try:
                 config = TrainConfig.from_dict(json.load(fh))
-            except ValueError as exc:  # not JSON, unknown keys, a bad value
+            except ValueError as exc:  # not UTF-8 JSON or an object, a bad key or value
                 args.usage_error(f"{args.config}: {exc}")
     else:
         config = TrainConfig()
@@ -64,6 +65,8 @@ def _load_config(args) -> TrainConfig:
 def _load_embeddings(args, config: TrainConfig):
     try:
         return load_embeddings(args.embeddings, config.d_w)
+    except UnicodeDecodeError as exc:
+        args.usage_error(f"{args.embeddings}: {exc}")
     except EmbeddingFormatError as exc:
         args.usage_error(f"{args.embeddings}: {exc}; the config's d_w is {config.d_w}")
 
@@ -71,8 +74,16 @@ def _load_embeddings(args, config: TrainConfig):
 def _load_corpus(args):
     try:
         return load_corpus(args.corpus)
-    except CorpusFormatError as exc:
+    except (CorpusFormatError, UnicodeDecodeError) as exc:
         args.usage_error(f"{args.corpus}: {exc}")
+
+
+def _read_text(args, path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            args.usage_error(f"{path}: {exc}")
 
 
 def _write_or_print(text: str, out_path: str | None) -> None:
@@ -147,10 +158,7 @@ def _cmd_verify(args) -> int:
     except ValueError as exc:  # not a checkpoint, or its config or dims rejected
         args.usage_error(f"{args.checkpoint}: {exc}")
     table = _load_embeddings(args, config)
-    with open(args.doc_a, encoding="utf-8") as fh:
-        doc_a = fh.read()
-    with open(args.doc_b, encoding="utf-8") as fh:
-        doc_b = fh.read()
+    doc_a, doc_b = _read_text(args, args.doc_a), _read_text(args, args.doc_b)
     model = Model(params, config, table)
     try:
         payload = verify_pair(model, doc_a, doc_b).to_json_dict()

@@ -258,10 +258,9 @@ def encode_document(
 
 def document_gradients(
     params: EncoderParams, tape: DocumentTape, d_x: np.ndarray
-) -> tuple[EncoderParams]:
+) -> EncoderParams:
     """Exact parameter gradients of a scalar loss given dL/d(embedding)
-    of each encoded document, (n, d_d), summed over the documents: a
-    one-item tuple `(grads,)`.
+    of each encoded document, (n, d_d), summed over the documents.
 
     The scale's gradient is sum_j d_x[j] . h_T[j], and level 2 is walked
     back from s * d_x.  Each level is walked back once for all documents,
@@ -279,4 +278,4 @@ def document_gradients(
         d_sent *= np.repeat(tape.input2, level2.lengths, axis=0)
     lstm_backward_dz(params.level1, level1, d_sent, np.zeros_like(d_sent))
     scale = np.array([np.vdot(d_x, tape.final)])
-    return (EncoderParams(param_gradients(level1), param_gradients(level2), scale),)
+    return EncoderParams(param_gradients(level1), param_gradients(level2), scale)

@@ -182,7 +182,8 @@ class LstmTape:
     (`order`), so a step's block is one contiguous slice and the arrays
     have one entry per real step.  `index` gives, for every real step in
     the input's row-after-row order, its place in the packed arrays, and
-    `x_index` the row of `x_in`, the input rows, that it read.
+    `x_rows`, for every packed step, the row of `x_in`, the input rows,
+    that it read.
     tanh of the memory state is recomputed in the backward pass, so a
     step stores 6 * d_out floats per row.
 
@@ -198,7 +199,7 @@ class LstmTape:
     live: np.ndarray  # (T,) rows still running at each step
     index: np.ndarray = field(repr=False)  # (tokens,) packed place of each input step
     x_in: np.ndarray = field(repr=False)  # (n, d_in): the rows of xs
-    x_index: np.ndarray = field(repr=False)  # (tokens,) x_in row of each input step
+    x_rows: np.ndarray = field(repr=False)  # (tokens,) x_in row of each packed step
     _h_in: np.ndarray = field(repr=False)  # (tokens, d_out), masked, packed
     gates: np.ndarray = field(repr=False)  # (tokens, 4*d_out): f, i, o, c~, packed
     c: np.ndarray = field(repr=False)  # (tokens, d_out): c after each step, packed
@@ -289,10 +290,8 @@ def lstm_run(
     else:
         h, c = init.h[order], init.c[order]
     rec_m = None if rec_mask is None else rec_mask[order]
-    if not indexed:
-        x_index = np.arange(tokens)
     ux = _gemm(params.u, xs)  # U x of every row of xs, before the first step
-    x_rows = x_index[source]  # the row of xs that every packed step reads
+    x_rows = x_index[source] if indexed else source  # the xs row of each packed step
     # Without a tape the step arrays are one step's scratch: every step
     # writes from row 0, where the rows it computes sit.
     kept = tokens if record else rows
@@ -301,7 +300,7 @@ def lstm_run(
     gates = np.empty((kept, 4 * d), dtype=dtype)
     cs = np.empty((kept, d), dtype=dtype)
     tape = LstmTape(
-        lengths, order, live, index, xs, x_index, h_in, gates, cs, c, rec_m
+        lengths, order, live, index, xs, x_rows, h_in, gates, cs, c, rec_m
     ) if record else None
     for k, at_t, first_t in zip(live.tolist(), at.tolist(), first.tolist()):
         block = slice(at_t, at_t + k)
@@ -366,10 +365,8 @@ def param_gradients(tape: LstmTape) -> LstmParams:
     h_in = _walked(tape).h_in
     tape.consumed = True
     gates = tape.gates
-    x_rows = np.empty_like(tape.x_index)  # the input row of each packed step
-    x_rows[tape.index] = tape.x_index
-    by_row = np.argsort(x_rows, kind="stable")
-    x_rows = x_rows[by_row]
+    by_row = np.argsort(tape.x_rows, kind="stable")
+    x_rows = tape.x_rows[by_row]
     first = np.flatnonzero(np.diff(x_rows, prepend=-1))  # each row's first step
     w = gates.T @ h_in
     d = h_in.shape[1]

@@ -66,11 +66,6 @@ __all__ = [
 ]
 
 
-# Fields that configs and checkpoints once carried, each with the only
-# value the code still implements: every array is float64, and the known
-# documents are always reshuffled each epoch.
-RETIRED_FIELDS = {"dtype": "float64", "augment": True}
-
 # The values each annotated field type accepts from a config file.
 FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool}
 
@@ -144,19 +139,11 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        """Config from `to_dict` output.  A retired field is dropped when it
-        carries the one value the code still implements (see
-        RETIRED_FIELDS); any other value cannot be honoured and raises, as
-        does an unknown key or a value not of its field's type (an int
-        passes for a float, a bool for nothing else)."""
-        d = dict(d)
-        for name, kept in RETIRED_FIELDS.items():
-            value = d.pop(name, kept)
-            if value != kept:
-                raise ValueError(
-                    f"retired config field {name!r} only takes {kept!r}, "
-                    f"got {value!r}"
-                )
+        """Config from `to_dict` output.  Anything but a dict, an unknown
+        key, or a value not of its field's type (an int passes for a float,
+        a bool for nothing else) raises ValueError."""
+        if not isinstance(d, dict):
+            raise ValueError(f"a config must be a JSON object, got {d!r}")
         types = {f.name: f.type for f in fields(cls)}
         unknown = set(d) - set(types)
         if unknown:
@@ -299,7 +286,7 @@ def batch_gradients(
         cross_grad *= n * config.in_batch_weight
         upstream += cross_grad
 
-    (total,) = document_gradients(params, tape, upstream)
+    total = document_gradients(params, tape, upstream)
     if not config.learn_scale:
         total.scale[0] = 0.0  # a zero step: the scale stays at 1.0
     mean_loss = loss_sum / n + config.in_batch_weight * cross_loss
@@ -316,12 +303,12 @@ def train_step(
     batch: list[EncodedPair],
     config: TrainConfig,
     rng: np.random.Generator,
-) -> tuple[float, float, AdadeltaState]:
+) -> tuple[float, float]:
     """One mini-batch update; mutates `params` and `opt_state` in place.
 
     The `batch_gradients` gradient is clipped by global norm and applied
     through Adadelta.  The batch's tapes are used up by its one backward
-    pass.  Returns (batch loss, pre-clip gradient norm, `opt_state`).
+    pass.  Returns (batch loss, pre-clip gradient norm).
     """
     mean_loss, grads = batch_gradients(params, batch, config, rng)
     grad_arrays = grads.arrays()
@@ -330,14 +317,14 @@ def train_step(
         [grad_arrays[k] for k in keys], config.clip_norm
     )
     grads_dict = dict(zip(keys, clipped))
-    deltas, opt_state = adadelta_update(
+    deltas, _ = adadelta_update(
         opt_state, grads_dict, config.adadelta_lr, config.adadelta_rho,
         config.adadelta_eps,
     )
     param_arrays = params.arrays()
     for key in keys:
         param_arrays[key] += deltas[key]
-    return mean_loss, grad_norm, opt_state
+    return mean_loss, grad_norm
 
 
 def augment_epoch(known: list[list], rng: np.random.Generator) -> list[list]:
@@ -592,9 +579,7 @@ def fit_encoded(
         n_batches = 0
         for lo in range(0, len(order), config.batch_size):
             batch = [pairs[j] for j in order[lo : lo + config.batch_size]]
-            loss, grad_norm, opt_state = train_step(
-                params, opt_state, batch, config, rng
-            )
+            loss, grad_norm = train_step(params, opt_state, batch, config, rng)
             loss_sum += loss * len(batch)
             norm_sum += grad_norm
             n_batches += 1

@@ -382,6 +382,33 @@ class TestRejectedInputs:
         err = self.run(argv, capsys)
         assert f"{tmp_path / 'absent.file'}: No such file or directory" in err
 
+    @pytest.mark.parametrize("value", [3, [1, 2]], ids=["number", "array"])
+    def test_config_that_is_not_an_object(self, workspace, tmp_path, capsys, value):
+        _, corpus, emb = workspace
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(value))
+        checkpoint = tmp_path / "model.npz"
+        err = self.run(["train", "--corpus", str(corpus), "--embeddings", str(emb),
+                        "--config", str(config), "--checkpoint", str(checkpoint)],
+                       capsys)
+        assert f"{config}: a config must be a JSON object, got {value!r}" in err
+        assert not checkpoint.exists()
+
+    @pytest.mark.parametrize("invalid", ["--corpus", "--embeddings"])
+    def test_input_that_is_not_utf8_named(self, workspace, tmp_path, capsys, invalid):
+        root, corpus, emb = workspace
+        paths = {"--corpus": str(corpus), "--embeddings": str(emb),
+                 "--config": str(fast_config(root))}
+        paths[invalid] = str(tmp_path / "latin1.txt")
+        (tmp_path / "latin1.txt").write_bytes("caf\xe9 1.0\n".encode("latin-1"))
+        checkpoint = tmp_path / "model.npz"
+        argv = ["train", "--checkpoint", str(checkpoint)]
+        for flag, path in paths.items():
+            argv += [flag, path]
+        err = self.run(argv, capsys)
+        assert f"{tmp_path / 'latin1.txt'}: 'utf-8' codec can't decode" in err
+        assert not checkpoint.exists()
+
     def verify_argv(self, emb, tmp_path, checkpoint):
         text = tmp_path / "text.txt"
         text.write_text("w000 w001.")
@@ -397,6 +424,19 @@ class TestRejectedInputs:
         argv[-3] = str(tmp_path / "absent.txt")
         err = self.run(argv, capsys)
         assert f"{tmp_path / 'absent.txt'}: No such file or directory" in err
+        assert not (tmp_path / "decision.json").exists()
+
+    def test_verify_text_that_is_not_utf8_named(self, workspace, tmp_path, capsys):
+        _, _, emb = workspace
+        checkpoint = tmp_path / "model.npz"
+        save_checkpoint(str(checkpoint), init_encoder_params(20, 4, 3, rng=make_rng(0)),
+                        TrainConfig(d_w=20, d_s=4, d_d=3))
+        argv = self.verify_argv(emb, tmp_path, checkpoint)
+        latin1 = tmp_path / "latin1.txt"
+        latin1.write_bytes("w000 caf\xe9.".encode("latin-1"))
+        argv[-3] = str(latin1)
+        err = self.run(argv, capsys)
+        assert f"{latin1}: 'utf-8' codec can't decode" in err
         assert not (tmp_path / "decision.json").exists()
 
     def test_file_that_is_not_a_checkpoint(self, workspace, tmp_path, capsys):
@@ -417,6 +457,19 @@ class TestRejectedInputs:
         np.savez(checkpoint, **payload)
         err = self.run(self.verify_argv(emb, tmp_path, checkpoint), capsys)
         assert "not a checkpoint" in err and "scale" in err
+        assert not (tmp_path / "decision.json").exists()
+
+    def test_checkpoint_config_that_is_not_an_object(self, workspace, tmp_path, capsys):
+        _, _, emb = workspace
+        checkpoint = tmp_path / "model.npz"
+        save_checkpoint(str(checkpoint), init_encoder_params(20, 4, 3, rng=make_rng(0)),
+                        TrainConfig(d_w=20, d_s=4, d_d=3))
+        with np.load(checkpoint) as archive:
+            payload = dict(archive)
+        payload["config_json"] = np.array("[1, 2]")
+        np.savez(checkpoint, **payload)
+        err = self.run(self.verify_argv(emb, tmp_path, checkpoint), capsys)
+        assert f"{checkpoint}: a config must be a JSON object, got [1, 2]" in err
         assert not (tmp_path / "decision.json").exists()
 
 

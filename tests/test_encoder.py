@@ -255,7 +255,7 @@ class TestEmbedDocuments:
         if record:
             # the tape keeps the distinct rows and an index, not a row per token
             assert tape.level1_tape.x_in.shape == (distinct, dims[0])
-            assert tape.level1_tape.x_index.shape == (tokens,)
+            assert tape.level1_tape.x_rows.shape == (tokens,)
 
 
 class TestSampleDropoutMasks:
@@ -321,7 +321,7 @@ class TestEncoderBackward:
     def test_zero_upstream_zero_grads(self):
         params, doc = self.make_setup()
         _, tape = encode_documents(params, [doc], record=True)
-        (grads,) = document_gradients(params, tape, np.zeros(2)[None])
+        grads = document_gradients(params, tape, np.zeros(2)[None])
         for a in grads.arrays().values():
             assert np.all(a == 0.0)
 
@@ -334,7 +334,7 @@ class TestEncoderBackward:
             return float(np.dot(d_xd, x_d))
 
         _, tape = encode_documents(params, [doc], record=True)
-        (grads,) = document_gradients(params, tape, d_xd[None])
+        grads = document_gradients(params, tape, d_xd[None])
         analytic = grads.arrays()
         for name, target in params.arrays().items():
             numeric = numeric_gradient(loss, target)
@@ -358,8 +358,8 @@ class TestEncoderBackward:
         for doc_a, doc_b in ((one, padded),):
             _, tape_a = encode_documents(params, [doc_a], record=True)
             _, tape_b = encode_documents(params, [doc_b], record=True)
-            (ga,) = document_gradients(params, tape_a, d_xd[None])
-            (gb,) = document_gradients(params, tape_b, d_xd[None])
+            ga = document_gradients(params, tape_a, d_xd[None])
+            gb = document_gradients(params, tape_b, d_xd[None])
             for name, a in ga.arrays().items():
                 np.testing.assert_array_equal(a, gb.arrays()[name])
 
@@ -376,7 +376,7 @@ class TestEncoderBackward:
                 return float(np.dot(d_xd, x_d))
 
             _, tape = encode_documents(params, [doc], masks, record=True)
-            (grads,) = document_gradients(params, tape, d_xd[None])
+            grads = document_gradients(params, tape, d_xd[None])
             analytic = grads.arrays()
             for name, target in params.arrays().items():
                 numeric = numeric_gradient(loss, target)
@@ -398,7 +398,7 @@ class TestEncoderBackward:
             return float(np.dot(d_xd, x_d))
 
         _, tape = encode_documents(params, [doc], masks, record=True)
-        (grads,) = document_gradients(params, tape, d_xd[None])
+        grads = document_gradients(params, tape, d_xd[None])
         analytic = grads.arrays()
         for name, target in params.arrays().items():
             numeric = numeric_gradient(loss, target)
@@ -417,7 +417,7 @@ class TestEncoderBackward:
         masks = sample_dropout_masks((3, 4, 2), 0.3, make_rng(12))
         d_xd = np.array([0.4, -1.1])
         _, tape = encode_documents(params, [doc], masks, record=True)
-        (grads,) = document_gradients(params, tape, d_xd[None])
+        grads = document_gradients(params, tape, d_xd[None])
 
         _, ref_tape = encode_documents(params, [doc], masks, record=True)
         _, d_sent, _, _ = lstm_run_backward(

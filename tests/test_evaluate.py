@@ -131,30 +131,6 @@ class TestCheckpoint:
             with pytest.raises(ShapeError, match=r"\(4, 3, 2\)"):
                 load_checkpoint(str(path))
 
-    @staticmethod
-    def check_legacy_field_loads(tmp_path, field: str, value) -> None:
-        params = init_encoder_params(4, 3, 2, rng=make_rng(0))
-        config = tiny_config(d_w=4, d_s=3, d_d=2)
-        path = tmp_path / "model.npz"
-        save_checkpoint(str(path), params, config)
-        with np.load(path) as archive:
-            payload = dict(archive)
-        legacy = {**config.to_dict(), field: value}
-        payload["config_json"] = np.array(json.dumps(legacy, sort_keys=True))
-        np.savez(path, **payload)
-        loaded_params, loaded_config = load_checkpoint(str(path))
-        assert loaded_config == config
-        for key, a in params.arrays().items():
-            assert loaded_params.arrays()[key].tobytes() == a.tobytes(), key
-
-    def test_legacy_float64_dtype_loads(self, tmp_path):
-        # checkpoints written while TrainConfig had a dtype field
-        self.check_legacy_field_loads(tmp_path, "dtype", "float64")
-
-    def test_legacy_augment_true_loads(self, tmp_path):
-        # checkpoints written while TrainConfig had an augment field
-        self.check_legacy_field_loads(tmp_path, "augment", True)
-
 
 class TestEvaluatePairs:
     def test_counts_sum_to_total(self):

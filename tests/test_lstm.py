@@ -360,6 +360,18 @@ class TestBatchedRun:
         assert again.h.tobytes() == h.h.tobytes()
         assert again.c.tobytes() == h.c.tobytes()
 
+    @pytest.mark.parametrize("indexed", [False, True])
+    def test_tape_row_map_reads_back_as_the_input_index(self, rng, indexed):
+        # x_rows gives each packed step's input row; in the input's
+        # row-after-row order that is x_index, or each step's own row
+        p = LstmParams.init_uniform(3, 4, -0.5, 0.5, rng)
+        tokens = sum(self.LENGTHS)
+        x_index = rng.integers(0, 6, size=tokens) if indexed else None
+        xs = rng.normal(size=(6 if indexed else tokens, 3))
+        _, tape = lstm_run(p, xs, self.LENGTHS, record=True, x_index=x_index)
+        expected = x_index if indexed else np.arange(tokens)
+        np.testing.assert_array_equal(tape.x_rows[tape.index], expected)
+
     def test_three_rows_against_finite_differences(self):
         report = check_lstm_config(3, 2, (3, 1, 5), seed=17)
         assert report.ok, report.failures[:5]

@@ -73,8 +73,8 @@ def pair_gradients(
     (x2,), tape2 = encode_documents(params, [pair.unknown], masks_unknown, record=True)
     loss = contrastive_loss(x1, x2, pair.label, thresholds)
     g1, g2 = contrastive_loss_grad(x1, x2, pair.label, thresholds)
-    (grads,) = document_gradients(params, tape1, g1[None])
-    (unknown,) = document_gradients(params, tape2, g2[None])
+    grads = document_gradients(params, tape1, g1[None])
+    unknown = document_gradients(params, tape2, g2[None])
     grads.add_(unknown)
     return loss, grads
 
@@ -112,10 +112,8 @@ def per_document_gradients(
         ((x1,), tape1), ((x2,), tape2) = encoded[2 * k], encoded[2 * k + 1]
         loss_sum += contrastive_loss(x1, x2, pair.label, thresholds)
         g1, g2 = contrastive_loss_grad(x1, x2, pair.label, thresholds)
-        (grads,) = document_gradients(params, tape1, (g1 + cross_grad[2 * k])[None])
-        (unknown,) = document_gradients(
-            params, tape2, (g2 + cross_grad[2 * k + 1])[None]
-        )
+        grads = document_gradients(params, tape1, (g1 + cross_grad[2 * k])[None])
+        unknown = document_gradients(params, tape2, (g2 + cross_grad[2 * k + 1])[None])
         grads.add_(unknown)
         total.add_(grads)
     for a in total.arrays().values():
@@ -190,23 +188,16 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="unknown config keys"):
             TrainConfig.from_dict({"not_a_field": 1})
 
-    def test_legacy_float64_dtype_dropped(self):
-        c = tiny_config(tau1=0.5, tau2=2.5)
-        assert TrainConfig.from_dict({**c.to_dict(), "dtype": "float64"}) == c
-        assert "dtype" not in c.to_dict()
-
-    def test_other_dtype_rejected(self):
-        with pytest.raises(ValueError, match="float32"):
-            TrainConfig.from_dict({**tiny_config().to_dict(), "dtype": "float32"})
-
-    def test_legacy_augment_true_dropped(self):
-        c = tiny_config(tau1=0.5, tau2=2.5)
-        assert TrainConfig.from_dict({**c.to_dict(), "augment": True}) == c
-        assert "augment" not in c.to_dict()
-
-    def test_augment_false_rejected(self):
-        with pytest.raises(ValueError, match="augment"):
-            TrainConfig.from_dict({**tiny_config().to_dict(), "augment": False})
+    @pytest.mark.parametrize("key,value", [
+        ("dtype", "float64"), ("dtype", "float32"),
+        ("augment", True), ("augment", False),
+    ])
+    def test_retired_key_rejected(self, key, value):
+        # fields that configs once carried: every array is float64, and the
+        # known documents are always reshuffled, so neither is a field
+        assert key not in TrainConfig().to_dict()
+        with pytest.raises(ValueError, match=rf"unknown config keys: \['{key}'\]"):
+            TrainConfig.from_dict({**tiny_config().to_dict(), key: value})
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -429,21 +420,21 @@ class TestBatchGradients:
             clipped, norm = clip_by_global_norm(
                 [arrays[k] / len(batch) for k in keys], config.clip_norm
             )
-            deltas, opt = adadelta_update(
+            deltas, _ = adadelta_update(
                 opt, dict(zip(keys, clipped)), config.adadelta_lr,
                 config.adadelta_rho, config.adadelta_eps,
             )
             for k in keys:
                 params.arrays()[k] += deltas[k]
-            return loss_sum / len(batch), norm, opt
+            return loss_sum / len(batch), norm
 
         ref_params = params.copy()
         opt = AdadeltaState.zeros_like(params.arrays())
         ref_opt = AdadeltaState.zeros_like(params.arrays())
         rng_a, rng_b = make_rng(5), make_rng(5)
         for _ in range(3):
-            loss, norm, opt = train_step(params, opt, batch, config, rng_a)
-            ref_loss, ref_norm, ref_opt = reference_step(ref_params, ref_opt, rng_b)
+            loss, norm = train_step(params, opt, batch, config, rng_a)
+            ref_loss, ref_norm = reference_step(ref_params, ref_opt, rng_b)
             np.testing.assert_allclose((loss, norm), (ref_loss, ref_norm),
                                        rtol=1e-12, atol=1e-15)
         assert norm > config.clip_norm  # the clip path was taken
@@ -580,7 +571,7 @@ class TestTrainStep:
             EncodedPair(random_doc(rng, 3, [2], 3, 3), random_doc(rng, 3, [2], 3, 3), 1)
         ]
         # d << tau1 for label 1: satisfied constraint, loss 0, no movement
-        loss, grad_norm, _ = train_step(params, opt, batch, config, rng)
+        loss, grad_norm = train_step(params, opt, batch, config, rng)
         assert loss == 0.0
         assert grad_norm == 0.0
         for k, a in params.arrays().items():
@@ -600,8 +591,8 @@ class TestTrainStep:
         params_b = params.copy()
         opt_b = AdadeltaState.zeros_like(params_b.arrays())
         swapped = [EncodedPair(p.unknown, p.known, p.label) for p in pairs]
-        loss_a, _, _ = train_step(params, opt, pairs, config, make_rng(0))
-        loss_b, _, _ = train_step(params_b, opt_b, swapped, config, make_rng(0))
+        loss_a, _ = train_step(params, opt, pairs, config, make_rng(0))
+        loss_b, _ = train_step(params_b, opt_b, swapped, config, make_rng(0))
         assert loss_a == pytest.approx(loss_b, rel=1e-12)
 
     def test_clipped_norm_bound(self):
@@ -615,7 +606,7 @@ class TestTrainStep:
             )
         ]
         # the loss is active; train_step must clip to clip_norm internally
-        loss, grad_norm, _ = train_step(params, opt, batch, config, rng)
+        loss, grad_norm = train_step(params, opt, batch, config, rng)
         assert loss > 0.0
         assert grad_norm > 0.0  # returned value is the pre-clip norm
 
@@ -645,7 +636,7 @@ class TestTrainStep:
             ) / len(batch)
 
         before = batch_loss()
-        _, grad_norm, _ = train_step(params, opt, batch, config, make_rng(0))
+        _, grad_norm = train_step(params, opt, batch, config, make_rng(0))
         after = batch_loss()
         assert after < before or grad_norm < 1e-12
 

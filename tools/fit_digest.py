@@ -51,7 +51,7 @@ Run it against any source tree and compare the lines:
 Without an importable `authverify` it falls back to the `src/` of its
 own tree, and it prints the `authverify.__file__` it digested to stderr,
 so a comparison of two trees can tell that it did not read one tree
-twice.  It pins BLAS to one thread itself and takes about 12 s on a
+twice.  It pins BLAS to one thread itself and takes 6-8 s on a
 2-CPU host.  It is not part of the test suite.
 """
 
